@@ -14,7 +14,6 @@ from .partitions import (
     enumerate_labelled_partitions,
     enumerate_partitions,
     finest,
-    induced,
     is_refinement,
     meet,
     whole_labelled,
@@ -68,7 +67,6 @@ __all__ = [
     "enumerate_labelled_partitions",
     "enumerate_partitions",
     "finest",
-    "induced",
     "is_refinement",
     "meet",
     "whole_labelled",

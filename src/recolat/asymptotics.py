@@ -13,12 +13,12 @@ order. Labelled versions attach one stationary location weight per block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .forward import RecombinationModel
-from .linear import build_base_matrix, build_linear_system, matrix_power
+from .linear import build_base_matrix, build_linear_system
 from .measures import Distribution, Metapopulation, tensor
 from .partitions import (
     LabelledPartition,

@@ -17,12 +17,12 @@ import sys
 import numpy as np
 
 from .asymptotics import limit_metapopulation, qld
-from .ctime import CtModel, ct_solve_dual, integrate
-from .forward import RecombinationModel, backward_from_forward, iterate
-from .linear import build_linear_system, solve_linear
+from .ctime import CtModel, checked_generator, ct_solve_dual, integrate
+from .forward import RecombinationModel, backward_from_forward, checked_migration, iterate
+from .linear import build_base_matrix, build_linear_system, solve_linear
 from .lpp import duality_estimate
 from .measures import Distribution, Metapopulation, TypeSpace, tensor
-from .partitions import Partition, whole_labelled
+from .partitions import Partition
 from .serialize import (
     csv_float,
     distribution_rows,
@@ -32,6 +32,7 @@ from .serialize import (
     partition_to_doc,
     partition_str,
     qld_report_to_doc,
+    sequence_label,
 )
 
 COMMANDS = (
@@ -219,13 +220,15 @@ def parse_config(doc: dict) -> RunConfig:
     accumulated: dict[Partition, float] = {}
     for part, value in entries:
         accumulated[part] = accumulated.get(part, 0.0) + value
+    discrete = mode == "discrete"
     try:
-        if mode == "discrete":
-            model = RecombinationModel(space, accumulated, migration)
-        else:
-            model = CtModel(space, accumulated, migration)
+        (checked_migration if discrete else checked_generator)(migration)
     except ValueError as exc:
-        raise ConfigError("recombination" if "rate" in str(exc) or "probabilit" in str(exc) else "migration", str(exc)) from None
+        raise ConfigError("migration", str(exc)) from None
+    try:
+        model = (RecombinationModel if discrete else CtModel)(space, accumulated, migration)
+    except ValueError as exc:
+        raise ConfigError("recombination", str(exc)) from None
 
     raw_initial = _require(doc, "initial", "")
     if isinstance(raw_initial, dict):
@@ -369,7 +372,7 @@ def run(command: str, config: RunConfig, matrix_kind: str = "T"):
                 rows.append(
                     (
                         "mu_hat",
-                        f"{name}:{_seq_label(config.space, i)}",
+                        f"{name}:{sequence_label(config.space, config.space.sites, i)}",
                         float(w),
                         float(est.stderr[i]),
                     )
@@ -420,15 +423,15 @@ def run(command: str, config: RunConfig, matrix_kind: str = "T"):
 
     if command == "export-T":
         _require_mode(config, command, "discrete")
-        system = build_linear_system(config.model)
         if matrix_kind == "T":
+            system = build_linear_system(config.model)
             labels = [labelled_str(s, names) for s in system.states]
             docs = [labelled_to_doc(s, names) for s in system.states]
             matrix = system.matrix
         else:
-            labels = [partition_str(p) for p in system.base_states]
-            docs = [partition_to_doc(p) for p in system.base_states]
-            matrix = system.base_matrix
+            states, matrix = build_base_matrix(config.model)
+            labels = [partition_str(p) for p in states]
+            docs = [partition_to_doc(p) for p in states]
         rows = [
             (matrix_kind, f"{labels[i]} -> {labels[j]}", float(matrix[i, j]), None)
             for i in range(len(labels))
@@ -444,12 +447,6 @@ def run(command: str, config: RunConfig, matrix_kind: str = "T"):
         return ResultTable(command, rows), payload
 
     raise ConfigError("command", f"unknown command {command!r}")
-
-
-def _seq_label(space: TypeSpace, index: int) -> str:
-    from .serialize import sequence_label
-
-    return sequence_label(space, space.sites, index)
 
 
 def _build_parser() -> argparse.ArgumentParser:

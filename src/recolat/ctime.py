@@ -9,6 +9,13 @@ jump process (solved with a matrix exponential), and for two sites a
 one-dimensional integral formula evaluated by adaptive Simpson quadrature.
 Splitting and relabelling are separate jump events: fragments of a split
 block keep their parent's label until a relabel event moves them.
+
+The drift's product measures come from `measures.block_products`, whose
+marginals after the first are divided by the location's mass. Each pull
+then keeps the mass of its row, so the flow conserves mass for any mass,
+not only on the simplex, and RK4 round-off does not grow. Unnormalised
+products would give dm/dt = sum of rho * (m**blocks - m), for which m = 1
+is an unstable fixed point.
 """
 
 from __future__ import annotations
@@ -21,21 +28,35 @@ from scipy.linalg import expm
 
 from .linear import build_recombinator_vector
 from .lpp import replicate_rng
-from .measures import Distribution, Metapopulation, TypeSpace
+from .measures import Metapopulation, TypeSpace, block_products
 from .partitions import (
     LabelledPartition,
     Partition,
-    enumerate_partitions,
     whole_labelled,
 )
 
 GENERATOR_ATOL = 1e-12
 
 
+def checked_generator(generator) -> np.ndarray:
+    """Read-only copy of a migration generator: square, non-negative off the
+    diagonal, rows summing to zero."""
+    gen = np.array(generator, dtype=float)
+    if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
+        raise ValueError("migration generator must be square")
+    off = gen - np.diag(np.diag(gen))
+    if off.min() < 0:
+        raise ValueError("negative off-diagonal migration rate")
+    if np.abs(gen.sum(axis=1)).max() > GENERATOR_ATOL:
+        raise ValueError("generator rows must sum to zero")
+    gen.flags.writeable = False
+    return gen
+
+
 class CtModel:
     """Recombination rates per partition plus a migration generator."""
 
-    __slots__ = ("space", "rates", "generator", "_plan_cache")
+    __slots__ = ("space", "rates", "generator", "_pulls", "_marginal_cache")
 
     def __init__(self, space: TypeSpace, rates, generator):
         full = space.sites
@@ -48,19 +69,15 @@ class CtModel:
                 raise ValueError(f"negative or non-finite rate {rho!r}")
             if rho > 0:
                 clean[part] = clean.get(part, 0.0) + rho
-        gen = np.asarray(generator, dtype=float)
-        if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
-            raise ValueError("migration generator must be square")
-        off = gen - np.diag(np.diag(gen))
-        if off.min() < 0:
-            raise ValueError("negative off-diagonal migration rate")
-        if np.abs(gen.sum(axis=1)).max() > GENERATOR_ATOL:
-            raise ValueError("generator rows must sum to zero")
-        gen.flags.writeable = False
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "rates", dict(clean))
-        object.__setattr__(self, "generator", gen)
-        object.__setattr__(self, "_plan_cache", {})
+        object.__setattr__(self, "generator", checked_generator(generator))
+        # keeping everything together changes nothing, so only splits pull
+        split = [part for part in clean if len(part) > 1]
+        own = [[(b, None) for b in part.blocks] for part in split]
+        rhos = np.array([clean[p] for p in split])
+        object.__setattr__(self, "_pulls", (own, rhos, rhos.sum()))
+        object.__setattr__(self, "_marginal_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("CtModel is immutable")
@@ -83,32 +100,12 @@ class CtModel:
         key = tuple(sorted(sites))
         if not set(key) <= set(self.sites):
             raise ValueError(f"sites {key} outside the model")
-        cached = self._plan_cache.get(("marg", key))
+        cached = self._marginal_cache.get(key)
         if cached is None:
-            acc: dict[Partition, float] = {}
+            cached = self._marginal_cache[key] = {}
             for part, rho in self.rates.items():
                 sub = part.restrict(key)
-                acc[sub] = acc.get(sub, 0.0) + rho
-            cached = acc
-            self._plan_cache[("marg", key)] = cached
-        return cached
-
-    def _recombinator_plan(self, part: Partition):
-        """Summed-out axes per block and the einsum recombining them, for
-        stacks shaped (locations, *alphabet sizes)."""
-        cached = self._plan_cache.get(("plan", part))
-        if cached is None:
-            n = self.num_sites
-            letters = "abcdefghijklm"[:n]
-            sum_axes = []
-            subs = []
-            for block in part.blocks:
-                keep = set(block)
-                sum_axes.append(tuple(1 + s for s in range(n) if s not in keep))
-                subs.append("z" + "".join(letters[s] for s in block))
-            script = ",".join(subs) + "->z" + letters
-            cached = (sum_axes, script)
-            self._plan_cache[("plan", part)] = cached
+                cached[sub] = cached.get(sub, 0.0) + rho
         return cached
 
 
@@ -118,13 +115,11 @@ def ct_rhs(state, model: CtModel) -> np.ndarray:
     Rows sum to zero."""
     stack = state.stack() if isinstance(state, Metapopulation) else np.asarray(state, float)
     out = model.generator @ stack
-    nd = stack.reshape((stack.shape[0],) + model.space.shape(model.sites))
-    for part, rho in model.rates.items():
-        if len(part) == 1:
-            continue  # keeping everything together changes nothing
-        sum_axes, script = model._recombinator_plan(part)
-        margs = [nd.sum(axis=ax) for ax in sum_axes]
-        out += rho * (np.einsum(script, *margs).reshape(stack.shape) - stack)
+    own, rhos, total = model._pulls
+    if own:
+        nd = stack.reshape((stack.shape[0],) + model.space.alphabet_sizes)
+        prods = block_products(nd, model.sites, own).reshape(len(own), -1)
+        out += (rhos @ prods).reshape(stack.shape) - total * stack
     return out
 
 
@@ -264,7 +259,7 @@ def ct_solve_dual(
         raise ValueError("initial state must cover all sites")
     if generator is None:
         generator = build_generator(model)
-    vec = build_recombinator_vector(omega0, generator.states).stack()
+    vec = build_recombinator_vector(omega0, generator.states)
     propagated = expm(t * generator.matrix) @ vec
     rows = [
         propagated[generator.pos[whole_labelled(model.sites, alpha)]]
@@ -318,11 +313,11 @@ def ct_two_site(omega0: Metapopulation, model: CtModel, t: float) -> Metapopulat
     shape = model.space.shape(model.sites)
     term1 = np.exp(-rho * t) * (expm(t * gen) @ stack0)
     if rho > 0 and t > 0:
+        split = [(b, None) for b in fin.blocks]
+
         def integrand(sigma):
             mixed = expm((t - sigma) * gen) @ stack0
-            nd = mixed.reshape((-1,) + shape)
-            prod = np.einsum("za,zb->zab", nd.sum(axis=2), nd.sum(axis=1))
-            prod = prod.reshape(mixed.shape)
+            prod = block_products(mixed.reshape((-1,) + shape), model.sites, [split])[0]
             weights = np.exp(-rho * sigma) * expm(sigma * gen)
             return (weights @ prod).reshape(-1)
 

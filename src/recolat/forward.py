@@ -23,11 +23,26 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .measures import Distribution, Metapopulation, TypeSpace, recombinator, tensor
+from .measures import Metapopulation, TypeSpace, block_products
 from .partitions import LabelledPartition, Partition
 
 MASS_ATOL = 1e-12
 MIGRATION_ATOL = 1e-9  # matches the constancy tolerance of backward_from_forward
+
+
+def checked_migration(migration) -> np.ndarray:
+    """Read-only copy of a backward migration matrix: square, non-negative,
+    rows summing to one."""
+    m = np.array(migration, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("migration matrix must be square")
+    if m.min() < 0:
+        raise ValueError("migration matrix has negative entries")
+    rows = m.sum(axis=1)
+    if np.abs(rows - 1.0).max() > MIGRATION_ATOL:
+        raise ValueError(f"migration matrix rows sum to {rows}, not 1")
+    m.flags.writeable = False
+    return m
 
 
 class RecombinationModel:
@@ -62,20 +77,9 @@ class RecombinationModel:
         if not clean:
             raise ValueError("recombination distribution is empty")
 
-        m = np.asarray(migration, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("migration matrix must be square")
-        if m.min() < 0:
-            raise ValueError("migration matrix has negative entries")
-        rows = m.sum(axis=1)
-        if np.abs(rows - 1.0).max() > MIGRATION_ATOL:
-            raise ValueError(f"migration matrix rows sum to {rows}, not 1")
-        m = m.copy()
-        m.flags.writeable = False
-
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "recomb", dict(clean))
-        object.__setattr__(self, "migration", m)
+        object.__setattr__(self, "migration", checked_migration(migration))
         object.__setattr__(self, "_marginal_cache", {})
 
     def __setattr__(self, name, value):
@@ -152,23 +156,17 @@ def migrate(mu: Metapopulation, migration) -> Metapopulation:
     )
 
 
-def _recombine_single(nu: Distribution, recomb: Mapping[Partition, float]) -> Distribution:
-    acc = np.zeros_like(nu.weights)
-    for part, w in recomb.items():
-        acc += w * tensor([nu.marginalise(b) for b in part.blocks]).weights
-    total = acc.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"recombination lost mass (total {total!r})")
-    # the exact map conserves mass; strip float residue so long trajectories
-    # do not accumulate drift
-    return Distribution(nu.space, nu.support, acc / total, atol=1e-9)
-
-
 def recombine(mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
     """Within-location recombination across the full site set."""
     if mu.support != model.sites:
         raise ValueError("recombine needs full-support distributions")
-    return Metapopulation(_recombine_single(nu, model.recomb) for nu in mu)
+    own = [[(b, None) for b in part.blocks] for part in model.recomb]
+    prods = block_products(mu.as_array(), mu.support, own)
+    acc = np.tensordot(list(model.recomb.values()), prods, axes=1)
+    # the map conserves mass; strip float residue so long trajectories do
+    # not accumulate drift
+    acc /= acc.sum(axis=1, keepdims=True)
+    return Metapopulation.from_stack(mu.space, mu.support, acc, atol=1e-9)
 
 
 def step(mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
@@ -255,21 +253,14 @@ def marginal_step(mu: Metapopulation, model: RecombinationModel) -> Metapopulati
     """One generation of the induced dynamics on the support of `mu`, computed
     as the probability-weighted sum of recombinators over labelled partitions.
 
-    On the full site set this equals `step`; on a single site it reduces to
-    pure migration.
+    On the full site set this equals `step` and serves as an independent
+    route through a generation; on a single site it reduces to pure
+    migration.
     """
     probs = migrecomb_probs(model, mu.support)
-    dim = mu.space.dim(mu.support)
-    acc = np.zeros((len(mu), dim))
-    for bdelta, vec in probs.entries.items():
-        rw = recombinator(bdelta, mu).weights
-        acc += vec[:, np.newaxis] * rw[np.newaxis, :]
-    return Metapopulation.from_stack(mu.space, mu.support, acc, atol=1e-9)
-
-
-def step_via_probs(mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
-    """Full-support generation through the labelled-partition sum; an
-    independent route used to cross-check `step`."""
-    if mu.support != model.sites:
-        raise ValueError("step_via_probs needs full-support distributions")
-    return marginal_step(mu, model)
+    states = list(probs.entries)
+    prods = block_products(mu.as_array(), mu.support, [s.items for s in states])
+    vecs = np.stack([probs.entries[s] for s in states])
+    return Metapopulation.from_stack(
+        mu.space, mu.support, vecs.T @ prods[:, 0], atol=1e-9
+    )

@@ -24,12 +24,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .forward import RecombinationModel, migrecomb_probs
-from .measures import Distribution, Metapopulation, recombinator
+from .measures import Distribution, Metapopulation, block_products
 from .partitions import LabelledPartition, Partition, whole_labelled
 
 __all__ = [
     "LinearSystem",
-    "RecombinatorVector",
     "build_linear_system",
     "build_recombinator_vector",
     "matrix_power",
@@ -86,54 +85,28 @@ def _sorted_states(states: Iterable[LabelledPartition]) -> list[LabelledPartitio
     return sorted(states, key=lambda s: s.sort_key())
 
 
-class RecombinatorVector:
-    """Recombinator values of a metapopulation along an indexed state list."""
-
-    __slots__ = ("states", "entries")
-
-    def __init__(self, states: Sequence[LabelledPartition], entries: dict[LabelledPartition, Distribution]):
-        object.__setattr__(self, "states", list(states))
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RecombinatorVector is immutable")
-
-    def __getitem__(self, state: LabelledPartition) -> Distribution:
-        return self.entries[state]
-
-    def stack(self) -> np.ndarray:
-        return np.stack([self.entries[s].weights for s in self.states])
-
-
 def build_recombinator_vector(
     mu: Metapopulation, states: Sequence[LabelledPartition]
-) -> RecombinatorVector:
-    entries = {s: recombinator(s, mu) for s in states}
-    return RecombinatorVector(states, entries)
+) -> np.ndarray:
+    """Recombinator values of `mu` along `states`, one row per state."""
+    return block_products(mu.as_array(), mu.support, [s.items for s in states])[:, 0]
 
 
 class LinearSystem:
     """Transition matrix over the labelled partitions reachable from the
-    start states, plus its label-free companion over base partitions."""
+    start states."""
 
-    __slots__ = ("model", "starts", "states", "pos", "matrix",
-                 "base_states", "base_pos", "base_matrix")
+    __slots__ = ("model", "starts", "states", "pos", "matrix")
 
-    def __init__(self, model, starts, states, matrix, base_states, base_matrix):
+    def __init__(self, model, starts, states, matrix):
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "starts", tuple(starts))
         object.__setattr__(self, "states", list(states))
         object.__setattr__(self, "pos", {s: i for i, s in enumerate(states)})
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "base_states", list(base_states))
-        object.__setattr__(self, "base_pos", {p: i for i, p in enumerate(base_states)})
-        object.__setattr__(self, "base_matrix", base_matrix)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearSystem is immutable")
-
-    def recombinator_vector(self, mu: Metapopulation) -> RecombinatorVector:
-        return build_recombinator_vector(mu, self.states)
 
 
 def build_linear_system(
@@ -170,10 +143,7 @@ def build_linear_system(
         i = pos[state]
         for target, p in row.items():
             matrix[i, pos[target]] = p
-
-    base_start = starts[0].base
-    base_states, base_matrix = build_base_matrix(model, base_start)
-    return LinearSystem(model, starts, states, matrix, base_states, base_matrix)
+    return LinearSystem(model, starts, states, matrix)
 
 
 def base_transition_row(model: RecombinationModel, delta: Partition) -> dict[Partition, float]:
@@ -247,7 +217,7 @@ def solve_linear(
         system = build_linear_system(model)
     if len(mu0) != model.num_locations:
         raise ValueError("initial state has the wrong number of locations")
-    weights = system.recombinator_vector(mu0).stack()
+    weights = build_recombinator_vector(mu0, system.states)
     evolved = matrix_power(system.matrix, t) @ weights
     out = []
     for alpha in range(model.num_locations):

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import RecombinationModel
-from .linear import matrix_power
-from .measures import Distribution, Metapopulation, recombinator
+from .linear import build_recombinator_vector, matrix_power
+from .measures import Distribution, Metapopulation, block_products
 from .partitions import LabelledPartition, Partition, whole_labelled
 
 _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -212,7 +212,7 @@ def duality_estimate(
         counts[traj.final] = counts.get(traj.final, 0) + 1
 
     ordered = sorted(counts, key=lambda s: s.sort_key())
-    vectors = np.stack([recombinator(s, mu0).weights for s in ordered])
+    vectors = build_recombinator_vector(mu0, ordered)
     weights = np.array([counts[s] for s in ordered], dtype=float)
     mean = (weights / replicates) @ vectors
     if replicates > 1:
@@ -245,14 +245,12 @@ def two_site_closed_form(
 
     powers = [matrix_power(mig, k) for k in range(t + 1)]
     stack0 = mu0.stack()
+    shape = (nloc,) + space.shape(mu0.support)
+    split = [((0,), None), ((1,), None)]
     acc = (r_whole**t) * (powers[t] @ stack0)
     for sigma in range(1, t + 1):
         coeff = r_whole ** (sigma - 1) * r_split
-        moved = Metapopulation.from_stack(
-            space, mu0.support, powers[t - sigma + 1] @ stack0, atol=1e-9
-        )
-        left = moved.marginalise((0,)).stack()
-        right = moved.marginalise((1,)).stack()
-        cross = np.einsum("gi,gj->gij", left, right).reshape(nloc, -1)
+        moved = (powers[t - sigma + 1] @ stack0).reshape(shape)
+        cross = block_products(moved, mu0.support, [split])[0]
         acc += coeff * (powers[sigma - 1] @ cross)
     return Metapopulation.from_stack(space, mu0.support, acc, atol=1e-9)

@@ -5,7 +5,9 @@ product alphabet of a *support* (an ascending tuple of sites) and stores its
 weights densely in mixed-radix order, first support site slowest. That order
 is exactly numpy's C order for the shape given by the per-site alphabet
 sizes, so marginalising is an axis sum and the tensor product is an outer
-product followed by an axis permutation.
+product followed by an axis permutation. `block_products` is the one
+array-level recombinator kernel that every solver route evaluates; `tensor`
+stays as a measure-level utility.
 
 A distribution with empty support is the scalar 1: the neutral factor of the
 tensor product. Constructors validate rather than repair: weights that are
@@ -227,6 +229,11 @@ class Metapopulation:
         """Weights as a (locations, dim) matrix."""
         return np.stack([d.weights for d in self.dists])
 
+    def as_array(self) -> np.ndarray:
+        """Weights as a (locations, *alphabet sizes) array, one axis per
+        support site."""
+        return self.stack().reshape((len(self.dists),) + self.dists[0].shape)
+
     @classmethod
     def from_stack(
         cls, space: TypeSpace, support: Sequence[int], matrix, *, atol: float = 1e-12
@@ -238,18 +245,60 @@ class Metapopulation:
         return f"Metapopulation({len(self.dists)} locations, support={self.support})"
 
 
+def block_products(stack: np.ndarray, support: Sequence[int], states: Sequence) -> np.ndarray:
+    """The recombinator kernel: the product of block marginals, per state.
+
+    `stack` is a raw (locations, *alphabet sizes) array with one axis per
+    site of `support`. A state is a sequence of (block, label) pairs, a block
+    being a tuple of support sites. Label None takes each location's own
+    marginal, so the product has a row per location; an int label reads that
+    location's marginal. Returns (states, rows, dim), dim covering the sites
+    the states cover; all states of one call must give the same shape.
+
+    Mass contract: every block marginal after the first is divided by the
+    total mass of its location, so a product carries its first block's mass
+    exactly once. On the simplex this changes nothing; off it, products keep
+    the mass of their row, which makes the recombination drift conserve
+    mass. A one-block state returns its marginal unchanged.
+
+    Each block's marginal is summed once per call and shared by all states.
+    Summed axes are kept as size 1, so products broadcast straight into
+    global site order, with no transpose and no limit on the site count.
+    """
+    mass = np.add.reduce(stack, tuple(range(1, stack.ndim)), keepdims=True)
+    margs: dict = {}
+    normed: dict = {}
+    out = None
+    for i, items in enumerate(states):
+        prod = None
+        for block, label in items:
+            marg = margs.get(block)
+            if marg is None:
+                drop = tuple(a for a, s in enumerate(support, 1) if s not in block)
+                marg = margs[block] = np.add.reduce(stack, drop, keepdims=True) if drop else stack
+            if prod is not None:
+                if block not in normed:
+                    normed[block] = marg / mass
+                marg = normed[block]
+            factor = marg if label is None else marg[label : label + 1]
+            prod = factor if prod is None else prod * factor
+        if out is None:
+            out = np.empty((len(states), prod.shape[0], prod.size // prod.shape[0]))
+        out[i] = prod.reshape(out.shape[1:])
+    return out
+
+
 def recombinator(bdelta: LabelledPartition, mu: Metapopulation) -> Distribution:
     """Pull one marginal per labelled block and glue them multiplicatively.
 
     Block (d, l) contributes the marginal of location l's distribution onto
-    the sites d; the result is the tensor product over blocks, a distribution
-    on the base set of `bdelta`.
+    the sites d; the result is the product over blocks, a distribution on
+    the base set of `bdelta`.
     """
     if not set(bdelta.base_set) <= set(mu.support):
         raise ValueError("labelled partition exceeds the metapopulation support")
-    parts = []
-    for block, label in bdelta.items:
+    for _, label in bdelta.items:
         if not 0 <= label < mu.num_locations:
             raise ValueError(f"label {label} outside the {mu.num_locations} locations")
-        parts.append(mu[label].marginalise(block))
-    return tensor(parts)
+    weights = block_products(mu.as_array(), mu.support, [bdelta.items])[0, 0]
+    return Distribution(mu.space, bdelta.base_set, weights, atol=1e-8)

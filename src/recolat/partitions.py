@@ -256,11 +256,6 @@ def meet(p: Partition, q: Partition) -> Partition:
     return Partition(blocks)
 
 
-def induced(obj: Partition | LabelledPartition, sites: Iterable[int]):
-    """Induced (labelled) partition on a subset of the base set."""
-    return obj.restrict(sites)
-
-
 def union_over_blocks(
     delta: Partition, parts: Mapping[tuple[int, ...], LabelledPartition]
 ) -> LabelledPartition:

@@ -155,6 +155,8 @@ class TestParseConfig:
              r"initial\.left"),
             (lambda d: d.__setitem__("t", -1), r"^t"),
             (lambda d: d.__setitem__("locations", ["left", "left"]), r"locations"),
+            (lambda d: d.update(mode="continuous", migration={"backward": [[0.1, -0.1], [0.2, -0.2]]}),
+             r"^migration"),
         ],
     )
     def test_errors_carry_field_paths(self, mutate, path):

@@ -109,6 +109,23 @@ class TestRhs:
             om = factories.random_metapop(RNG, model.space, loc)
             assert np.abs(ct_rhs(om, model) - _brute_rhs(om, model)).max() < 1e-14
 
+    def test_fourteen_sites(self):
+        # regression: the right-hand side used to run out of einsum letters
+        # beyond 13 sites
+        rng = np.random.default_rng(1414)
+        n = 14
+        space = TypeSpace((2,) * n)
+        rates = {
+            Partition([range(0, n, 2), range(1, n, 2)]): 0.8,
+            Partition([(0, 13), range(1, 13)]): 0.5,
+            finest(range(n)): 0.3,
+        }
+        model = CtModel(space, rates, _conservative(rng.random((2, 2))))
+        om = factories.random_metapop(rng, space, 2)
+        d = ct_rhs(om, model)
+        assert np.abs(d.sum(axis=1)).max() < 1e-14
+        assert np.abs(d - _brute_rhs(om, model)).max() < 1e-14
+
     def test_stationary_product_state_is_fixed_point(self):
         model = factories.random_ct_model(RNG, 3, 2)
         # stationary row vector of the generator
@@ -160,6 +177,23 @@ class TestIntegrate:
         om = factories.random_metapop(RNG, model.space, 2)
         traj = integrate(om, model, 2.0, 1e-3)
         assert traj.max_drift < 1e-8
+
+    def test_strong_recombination_conserves_mass(self):
+        # regression: here sum of rho * (blocks - 1) * t is 50, and the drift
+        # used to pull the mass away from 1 until a state was rejected
+        rng = np.random.default_rng(1)
+        space = TypeSpace((2,) * 4)
+        rates = {
+            p: float(rng.uniform(0.0, 2.0))
+            for p in enumerate_partitions(range(4))
+            if len(p) > 1
+        }
+        model = CtModel(space, rates, _conservative(rng.random((3, 3))))
+        om = factories.random_metapop(rng, space, 3)
+        traj = integrate(om, model, 2.0, 1e-2)
+        assert traj.max_drift < 1e-12
+        dual = ct_solve_dual(om, model, 2.0)
+        assert np.abs(traj.final.stack() - dual.stack()).max() < 1e-8
 
     def test_large_step_rejected(self):
         space = TypeSpace((2, 2))

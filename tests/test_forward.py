@@ -12,7 +12,6 @@ from recolat.forward import (
     migrecomb_probs,
     recombine,
     step,
-    step_via_probs,
 )
 from recolat.measures import Metapopulation, TypeSpace
 from recolat.partitions import LabelledPartition, Partition
@@ -163,7 +162,7 @@ class TestStep:
             model = factories.random_model(RNG, n, loc)
             mu = factories.random_metapop(RNG, model.space, loc)
             a = step(mu, model)
-            b = step_via_probs(mu, model)
+            b = marginal_step(mu, model)
             for alpha in range(loc):
                 np.testing.assert_allclose(
                     a[alpha].weights, b[alpha].weights, atol=1e-12

@@ -10,7 +10,6 @@ from recolat.partitions import (
     enumerate_labelled_partitions,
     enumerate_partitions,
     finest,
-    induced,
     is_refinement,
     meet,
     union_over_blocks,
@@ -215,7 +214,7 @@ class TestInduced:
 
     def test_labelled_keeps_labels(self):
         lp = LabelledPartition([((0, 1, 3), 1), ((2, 4), 0)])
-        assert induced(lp, [1, 2, 3]) == LabelledPartition([((1, 3), 1), ((2,), 0)])
+        assert lp.restrict([1, 2, 3]) == LabelledPartition([((1, 3), 1), ((2,), 0)])
 
     def test_composition(self):
         p = Partition([[0, 1, 3], [2, 4], [5]])
