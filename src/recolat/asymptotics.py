@@ -19,7 +19,7 @@ import numpy as np
 
 from .forward import RecombinationModel
 from .linear import build_base_matrix, build_linear_system
-from .measures import Distribution, Metapopulation, tensor
+from .measures import Distribution, Metapopulation, recombinator
 from .partitions import (
     LabelledPartition,
     Partition,
@@ -100,13 +100,11 @@ def limit_metapopulation(mu0: Metapopulation, model: RecombinationModel) -> Meta
         )
     if mu0.support != model.sites:
         raise ValueError("initial state must cover all sites")
-    factors = []
-    for site in model.sites:
-        single = mu0.marginalise((site,)).stack()  # (locations, alphabet)
-        factors.append(
-            Distribution(mu0.space, (site,), profile.weights @ single, atol=1e-9)
-        )
-    limit = tensor(factors)
+    # marginals commute with the location average, so the limit is the
+    # all-singletons recombinator of the stationarily averaged distribution
+    mixed = Distribution(mu0.space, mu0.support, profile.weights @ mu0.stack(), atol=1e-9)
+    singletons = LabelledPartition(((site,), 0) for site in model.sites)
+    limit = recombinator(singletons, Metapopulation([mixed]))
     return Metapopulation([limit] * model.num_locations)
 
 
