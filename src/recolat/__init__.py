@@ -51,7 +51,6 @@ from .asymptotics import (
 from .ctime import (
     CtModel,
     CtTrajectory,
-    LppGenerator,
     build_generator,
     ct_rhs,
     ct_simulate,
@@ -104,7 +103,6 @@ __all__ = [
     "stationary_distribution",
     "CtModel",
     "CtTrajectory",
-    "LppGenerator",
     "build_generator",
     "ct_rhs",
     "ct_simulate",

@@ -8,7 +8,10 @@ exact linearisation through the generator of the labelled partitioning
 jump process (solved with a matrix exponential), and for two sites a
 one-dimensional integral formula evaluated by adaptive Simpson quadrature.
 Splitting and relabelling are separate jump events: fragments of a split
-block keep their parent's label until a relabel event moves them.
+block keep their parent's label until a relabel event moves them. The
+generator is assembled by `linear.closure`, the routine that also builds the
+discrete matrices T and the label-free block matrix; `build_generator` only
+supplies the jump rates and sets the diagonal to minus the row sums.
 
 The drift's product measures come from `measures.block_products`, whose
 marginals after the first are divided by the location's mass. Each pull
@@ -26,14 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .linear import build_recombinator_vector
+from .linear import LinearSystem, build_recombinator_vector, checked_starts, closure
 from .lpp import replicate_rng
 from .measures import Metapopulation, TypeSpace, block_products
-from .partitions import (
-    LabelledPartition,
-    Partition,
-    whole_labelled,
-)
+from .partitions import LabelledPartition, Partition, glued_labelled, whole_labelled
 
 GENERATOR_ATOL = 1e-12
 
@@ -177,78 +176,38 @@ def integrate(omega0: Metapopulation, model: CtModel, t_end: float, dt: float) -
     return CtTrajectory(np.asarray(times), states, drift)
 
 
-class LppGenerator:
-    """Jump-process generator over reachable labelled partitions: one block
-    splits (fragments keep its label) or one block relabels."""
-
-    __slots__ = ("model", "states", "pos", "matrix")
-
-    def __init__(self, model, states, matrix):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "states", list(states))
-        object.__setattr__(self, "pos", {s: i for i, s in enumerate(states)})
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LppGenerator is immutable")
-
-
 def _jump_targets(state: LabelledPartition, model: CtModel):
     """All single-event moves out of `state` with their rates."""
-    items = list(state.items)
+    items = state.items
     for i, (block, label) in enumerate(items):
         if len(block) > 1:
             for sub, rho in model.marginal_rates(block).items():
                 if len(sub) == 1:
                     continue  # no actual split
-                pieces = [(b, label) for b in sub.blocks]
-                target = LabelledPartition(items[:i] + pieces + items[i + 1 :])
-                yield target, rho
+                pieces = tuple((b, label) for b in sub.blocks)
+                yield glued_labelled(items[:i] + pieces + items[i + 1 :]), rho
         row = model.generator[label]
         for beta in range(model.num_locations):
             if beta != label and row[beta] > 0:
-                target = LabelledPartition(
-                    items[:i] + [(block, beta)] + items[i + 1 :]
-                )
-                yield target, row[beta]
+                moved = items[:i] + ((block, beta),) + items[i + 1 :]
+                yield LabelledPartition._from_canonical(moved), row[beta]
 
 
-def build_generator(model: CtModel, starts=None) -> LppGenerator:
-    if starts is None:
-        starts = tuple(
-            whole_labelled(model.sites, alpha) for alpha in range(model.num_locations)
-        )
-    starts = tuple(starts)
-    full = set(model.sites)
-    for s in starts:
-        if set(s.base_set) != full:
-            raise ValueError("start states must cover all sites")
-        if not all(0 <= lab < model.num_locations for lab in s.labels):
-            raise ValueError("bad location label")
-    seen = set(starts)
-    frontier = list(starts)
-    while frontier:
-        state = frontier.pop()
-        for target, _ in _jump_targets(state, model):
-            if target not in seen:
-                seen.add(target)
-                frontier.append(target)
-    states = sorted(seen, key=lambda s: s.sort_key())
-    pos = {s: i for i, s in enumerate(states)}
-    q = np.zeros((len(states), len(states)))
-    for s in states:
-        i = pos[s]
-        for target, rate in _jump_targets(s, model):
-            q[i, pos[target]] += rate
-        q[i, i] = -q[i].sum()
-    return LppGenerator(model, states, q)
+def build_generator(model: CtModel, starts=None) -> LinearSystem:
+    """Jump-process generator Q over the labelled partitions reachable from
+    `starts` (default: one single-block state per location): one block
+    splits (fragments keep its label) or one block relabels."""
+    starts = checked_starts(model, starts)
+    states, q = closure(starts, lambda s: _jump_targets(s, model), LabelledPartition.sort_key)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return LinearSystem(model, starts, states, q)
 
 
 def ct_solve_dual(
     omega0: Metapopulation,
     model: CtModel,
     t: float,
-    generator: LppGenerator | None = None,
+    generator: LinearSystem | None = None,
 ) -> Metapopulation:
     """Solution via the linearisation: exponentiate the jump-process
     generator, apply to the recombinator vector of the initial state, read

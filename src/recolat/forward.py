@@ -48,7 +48,7 @@ def checked_migration(migration) -> np.ndarray:
 class RecombinationModel:
     """Type space, recombination distribution and backward migration matrix."""
 
-    __slots__ = ("space", "recomb", "migration", "_marginal_cache", "__weakref__")
+    __slots__ = ("space", "recomb", "migration", "_marginal_cache", "_law_cache", "__weakref__")
 
     def __init__(
         self,
@@ -81,6 +81,7 @@ class RecombinationModel:
         object.__setattr__(self, "recomb", dict(clean))
         object.__setattr__(self, "migration", checked_migration(migration))
         object.__setattr__(self, "_marginal_cache", {})
+        object.__setattr__(self, "_law_cache", {})  # filled by migrecomb_probs
 
     def __setattr__(self, name, value):
         raise AttributeError("RecombinationModel is immutable")
@@ -203,50 +204,31 @@ def iterate(
     return pairs
 
 
-class MigRecombProbs:
-    """Joint law of (block structure, parent location per block) for one
-    generation, restricted to a site subset.
-
-    `entries` maps each labelled partition of the subset to the vector of
-    its probabilities indexed by the offspring location.
-    """
-
-    __slots__ = ("sites", "entries")
-
-    def __init__(self, sites: tuple[int, ...], entries: dict[LabelledPartition, np.ndarray]):
-        if not entries:
-            raise ValueError("no labelled partitions with positive probability")
-        totals = np.sum(np.stack(list(entries.values())), axis=0)
-        if np.abs(totals - 1.0).max() > MASS_ATOL:
-            raise ValueError(f"labelled-partition probabilities sum to {totals}, not 1")
-        object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MigRecombProbs is immutable")
-
-    def prob(self, location: int, bdelta: LabelledPartition) -> float:
-        vec = self.entries.get(bdelta)
-        return 0.0 if vec is None else float(vec[location])
-
-
-def migrecomb_probs(model: RecombinationModel, sites: Iterable[int]) -> MigRecombProbs:
+def migrecomb_probs(
+    model: RecombinationModel, sites: Iterable[int]
+) -> dict[LabelledPartition, np.ndarray]:
     """Positive entries of the one-generation labelled-partition law on a
     site subset: induced recombination weight times one migration factor per
-    block's label."""
+    block's label. Each entry is a read-only vector over the offspring
+    location; an absent labelled partition has probability 0."""
     key = tuple(sorted(set(sites)))
-    marg = model.marginal_recombination(key)
-    m = model.migration
-    entries: dict[LabelledPartition, np.ndarray] = {}
-    for part, w in marg.items():
-        for labels in itertools.product(range(model.num_locations), repeat=len(part)):
-            vec = np.full(model.num_locations, w)
-            for lab in labels:
-                vec = vec * m[:, lab]
-            if vec.max() > 0.0:
-                bdelta = LabelledPartition(zip(part.blocks, labels))
-                entries[bdelta] = entries.get(bdelta, 0.0) + vec
-    return MigRecombProbs(key, entries)
+    law = model._law_cache.get(key)
+    if law is None:
+        law = {}
+        m = model.migration
+        for part, w in model.marginal_recombination(key).items():
+            for labels in itertools.product(range(model.num_locations), repeat=len(part)):
+                vec = np.full(model.num_locations, w)
+                for lab in labels:
+                    vec = vec * m[:, lab]
+                if vec.max() > 0.0:
+                    vec.flags.writeable = False
+                    law[LabelledPartition(zip(part.blocks, labels))] = vec
+        totals = np.sum(list(law.values()), axis=0)
+        if np.abs(totals - 1.0).max() > MASS_ATOL:
+            raise ValueError(f"labelled-partition probabilities sum to {totals}, not 1")
+        model._law_cache[key] = law
+    return dict(law)
 
 
 def marginal_step(mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
@@ -258,9 +240,8 @@ def marginal_step(mu: Metapopulation, model: RecombinationModel) -> Metapopulati
     migration.
     """
     probs = migrecomb_probs(model, mu.support)
-    states = list(probs.entries)
-    prods = block_products(mu.as_array(), mu.support, [s.items for s in states])
-    vecs = np.stack([probs.entries[s] for s in states])
+    prods = block_products(mu.as_array(), mu.support, [s.items for s in probs])
+    vecs = np.stack(list(probs.values()))
     return Metapopulation.from_stack(
         mu.space, mu.support, vecs.T @ prods[:, 0], atol=1e-9
     )

@@ -10,79 +10,115 @@ its old label. Iterating is then a matrix power, and the location-alpha
 distribution at time t sits in the component of the single-block state
 labelled alpha.
 
-State spaces are restricted to the closure reachable from the chosen start
-states and sorted by the canonical enumeration order (base partition by
-restricted growth string, then label vector). Because a transition never
-coarsens the base partition, the matrix is block lower triangular in that
-order, one block per base partition.
+One routine, `closure`, builds every matrix of the block process: it visits
+the states reachable from the starts, asks each state once for its weighted
+successors, sorts the states and assembles a dense matrix, row = source. Its
+three callers are `build_linear_system` (the labelled transition matrix T),
+`build_base_matrix` (the label-free block matrix) and
+`ctime.build_generator` (the jump generator Q, which then sets its diagonal
+to minus the row sums). States are sorted by the canonical enumeration order (base
+partition by restricted growth string, then label vector). Because a move
+never coarsens the base partition, and a refinement never comes earlier in
+that order, each matrix is block upper triangular, one block per base
+partition.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
 from .forward import RecombinationModel, migrecomb_probs
 from .measures import Distribution, Metapopulation, block_products
-from .partitions import LabelledPartition, Partition, whole_labelled
+from .partitions import LabelledPartition, Partition, glued_labelled, whole_labelled
 
 __all__ = [
     "LinearSystem",
     "build_linear_system",
     "build_recombinator_vector",
+    "closure",
     "matrix_power",
-    "reachable_partitions",
     "build_base_matrix",
     "solve_linear",
 ]
 
 
-def default_starts(model: RecombinationModel) -> tuple[LabelledPartition, ...]:
+def default_starts(model) -> tuple[LabelledPartition, ...]:
     """One single-block state per location, covering all sites."""
     return tuple(
         whole_labelled(model.sites, alpha) for alpha in range(model.num_locations)
     )
 
 
-def _block_laws(model: RecombinationModel, cache: dict, block: tuple[int, ...]):
-    """Per-block one-step law: entries (labelled partition of block, prob vector
-    indexed by the block's current label)."""
-    law = cache.get(block)
-    if law is None:
-        probs = migrecomb_probs(model, block)
-        law = list(probs.entries.items())
-        cache[block] = law
-    return law
+def checked_starts(model, starts=None) -> tuple[LabelledPartition, ...]:
+    """`starts`, or `default_starts` when None; each start must cover every
+    site of the model and carry only its location labels."""
+    if starts is None:
+        return default_starts(model)
+    starts = tuple(starts)
+    full = set(model.sites)
+    for s in starts:
+        if set(s.base_set) != full:
+            raise ValueError(f"start state {s!r} does not cover all sites")
+        if any(l >= model.num_locations for l in s.labels):
+            raise ValueError(f"start state {s!r} uses labels outside the model")
+    return starts
+
+
+def closure(
+    starts: Iterable[Hashable],
+    successors: Callable[[Hashable], Iterable[tuple[Hashable, float]]],
+    key: Callable,
+) -> tuple[list, np.ndarray]:
+    """States reachable from `starts`, sorted by `key`, and their dense
+    matrix with row = source.
+
+    `successors(state)` yields (target, weight) pairs. It runs once per
+    reachable state; weights of a repeated target add up.
+    """
+    rows = {}
+    frontier = list(dict.fromkeys(starts))
+    seen = set(frontier)
+    while frontier:
+        state = frontier.pop()
+        rows[state] = row = list(successors(state))
+        for target, _ in row:
+            if target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    states = sorted(seen, key=key)
+    pos = {s: i for i, s in enumerate(states)}
+    matrix = np.zeros((len(states), len(states)))
+    for state, row in rows.items():
+        i = pos[state]
+        for target, weight in row:
+            matrix[i, pos[target]] += weight
+    return states, matrix
 
 
 def transition_row(
-    model: RecombinationModel,
-    bdelta: LabelledPartition,
-    _cache: dict | None = None,
+    model: RecombinationModel, bdelta: LabelledPartition
 ) -> dict[LabelledPartition, float]:
     """One-step law out of `bdelta`: blocks act independently, so the row is
     the product of the per-block laws glued together."""
-    cache = {} if _cache is None else _cache
-    row: dict[LabelledPartition, float] = {}
     partial: list[tuple[tuple, float]] = [((), 1.0)]
     for block, label in bdelta.items:
-        law = _block_laws(model, cache, block)
-        grown = []
-        for items, p in partial:
-            for piece, vec in law:
-                q = p * vec[label]
-                if q > 0.0:
-                    grown.append((items + piece.items, q))
-        partial = grown
+        law = [
+            (piece.items, float(vec[label]))
+            for piece, vec in migrecomb_probs(model, block).items()
+        ]
+        partial = [
+            (items + piece, q)
+            for items, p in partial
+            for piece, w in law
+            if (q := p * w) > 0.0
+        ]
+    row: dict[LabelledPartition, float] = {}
     for items, p in partial:
-        target = LabelledPartition(items)
+        target = glued_labelled(items)
         row[target] = row.get(target, 0.0) + p
     return row
-
-
-def _sorted_states(states: Iterable[LabelledPartition]) -> list[LabelledPartition]:
-    return sorted(states, key=lambda s: s.sort_key())
 
 
 def build_recombinator_vector(
@@ -93,8 +129,9 @@ def build_recombinator_vector(
 
 
 class LinearSystem:
-    """Transition matrix over the labelled partitions reachable from the
-    start states."""
+    """Matrix over the labelled partitions reachable from the start states:
+    the transition matrix T of `build_linear_system`, or the jump generator
+    Q of `ctime.build_generator`."""
 
     __slots__ = ("model", "starts", "states", "pos", "matrix")
 
@@ -113,36 +150,12 @@ def build_linear_system(
     model: RecombinationModel,
     starts: Sequence[LabelledPartition] | None = None,
 ) -> LinearSystem:
-    if starts is None:
-        starts = default_starts(model)
-    starts = tuple(starts)
-    full = set(model.sites)
-    for s in starts:
-        if set(s.base_set) != full:
-            raise ValueError(f"start state {s!r} does not cover all sites")
-        if any(l >= model.num_locations for l in s.labels):
-            raise ValueError(f"start state {s!r} uses labels outside the model")
-
-    cache: dict = {}
-    rows: dict[LabelledPartition, dict[LabelledPartition, float]] = {}
-    frontier = list(dict.fromkeys(starts))
-    seen = set(frontier)
-    while frontier:
-        state = frontier.pop()
-        row = transition_row(model, state, cache)
-        rows[state] = row
-        for target in row:
-            if target not in seen:
-                seen.add(target)
-                frontier.append(target)
-
-    states = _sorted_states(seen)
-    pos = {s: i for i, s in enumerate(states)}
-    matrix = np.zeros((len(states), len(states)))
-    for state, row in rows.items():
-        i = pos[state]
-        for target, p in row.items():
-            matrix[i, pos[target]] = p
+    """Transition matrix T over the labelled partitions reachable from
+    `starts` (default: one single-block state per location)."""
+    starts = checked_starts(model, starts)
+    states, matrix = closure(
+        starts, lambda s: transition_row(model, s).items(), LabelledPartition.sort_key
+    )
     return LinearSystem(model, starts, states, matrix)
 
 
@@ -164,44 +177,21 @@ def base_transition_row(model: RecombinationModel, delta: Partition) -> dict[Par
     return row
 
 
-def reachable_partitions(model: RecombinationModel, start: Partition) -> list[Partition]:
-    """All base partitions reachable from `start`, canonical order."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        delta = frontier.pop()
-        for target in base_transition_row(model, delta):
-            if target not in seen:
-                seen.add(target)
-                frontier.append(target)
-    return sorted(seen, key=lambda p: p.rgs())
-
-
 def build_base_matrix(
     model: RecombinationModel, start: Partition | None = None
 ) -> tuple[list[Partition], np.ndarray]:
-    """Transition matrix of the label-free block process from `start`."""
+    """Transition matrix of the label-free block process over the base
+    partitions reachable from `start` (default: the one-block partition)."""
     if start is None:
         start = Partition([model.sites])
-    states = reachable_partitions(model, start)
-    pos = {p: i for i, p in enumerate(states)}
-    matrix = np.zeros((len(states), len(states)))
-    for delta in states:
-        i = pos[delta]
-        for target, p in base_transition_row(model, delta).items():
-            matrix[i, pos[target]] = p
-    return states, matrix
+    return closure([start], lambda d: base_transition_row(model, d).items(), Partition.rgs)
 
 
 def matrix_power(matrix: np.ndarray, t: int) -> np.ndarray:
-    """Plain repeated multiplication for small powers, binary powering above."""
+    """Binary powering. Negative powers are refused: numpy would silently
+    invert. For t = 1 numpy hands back `matrix` itself, not a copy."""
     if t < 0:
         raise ValueError("negative power")
-    if t <= 8:
-        out = np.eye(matrix.shape[0])
-        for _ in range(t):
-            out = out @ matrix
-        return out
     return np.linalg.matrix_power(matrix, t)
 
 

@@ -26,13 +26,9 @@ import numpy as np
 from .forward import RecombinationModel
 from .linear import build_recombinator_vector, matrix_power
 from .measures import Distribution, Metapopulation, block_products
-from .partitions import LabelledPartition, Partition, whole_labelled
+from .partitions import LabelledPartition, Partition, _by_block_min, whole_labelled
 
 _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _by_block_min(item):
-    return item[0][0]
 
 
 def replicate_rng(seed: int, stream: int) -> np.random.Generator:

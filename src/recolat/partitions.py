@@ -161,6 +161,19 @@ class LabelledPartition:
         return (self.base.rgs(), self.labels)
 
 
+def _by_block_min(item):
+    return item[0][0]
+
+
+def glued_labelled(items: Iterable[tuple[tuple[int, ...], int]]) -> LabelledPartition:
+    """Trusted construction from disjoint, sorted blocks in any order, such as
+    the fragments of split blocks put back together: sorts them by smallest
+    site and skips validation. Inner loops use it (`lpp_step` sorts its own
+    list in place by the same key); input from outside goes through
+    `LabelledPartition`."""
+    return LabelledPartition._from_canonical(tuple(sorted(items, key=_by_block_min)))
+
+
 def _check_subset(sites: Iterable[int], base: tuple[int, ...]) -> frozenset[int]:
     v = frozenset(sites)
     if not v:

@@ -287,6 +287,13 @@ class TestGenerator:
         mixed = LabelledPartition([((0,), 0), ((1,), 1)])
         assert row[lg.pos[mixed]] == 0.0
 
+    def test_bad_starts_rejected(self):
+        model = factories.random_ct_model(RNG, 3, 2)
+        with pytest.raises(ValueError, match="cover"):
+            build_generator(model, [whole_labelled((0, 1), 0)])
+        with pytest.raises(ValueError, match="labels"):
+            build_generator(model, [whole_labelled((0, 1, 2), 5)])
+
 
 class TestDualSolver:
     def test_time_zero_identity(self):

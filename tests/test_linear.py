@@ -3,14 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
+from recolat.ctime import CtModel, build_generator
 from recolat.forward import RecombinationModel, iterate, step
 from recolat.linear import (
+    base_transition_row,
     build_base_matrix,
     build_linear_system,
     build_recombinator_vector,
     default_starts,
     matrix_power,
-    reachable_partitions,
     solve_linear,
     transition_row,
 )
@@ -19,6 +20,7 @@ from recolat.partitions import (
     LabelledPartition,
     Partition,
     coarsest,
+    enumerate_partitions,
     is_refinement,
     whole_labelled,
 )
@@ -26,6 +28,11 @@ from recolat.partitions import (
 import factories
 
 RNG = np.random.default_rng(99)
+# the base-matrix and generator cases of the structure test draw from their
+# own generator, so the models of the other tests in this module stay as
+# they are
+STRUCTURE_RNG = np.random.default_rng(98)
+STRUCTURE_SHAPES = [(2, 2), (3, 2), (3, 3), (4, 2)]
 
 
 def brute_marginal_recomb(model, sites):
@@ -56,18 +63,35 @@ def brute_base_entry(model, delta, eps):
 
 
 class TestStructure:
-    @pytest.mark.parametrize("n,loc", [(2, 2), (3, 2), (3, 3), (4, 2)])
-    def test_rows_stochastic_and_triangular(self, n, loc):
-        model = factories.random_model(RNG, n, loc)
-        sys = build_linear_system(model)
-        assert sys.matrix.min() >= 0.0
-        np.testing.assert_allclose(sys.matrix.sum(axis=1), 1.0, atol=1e-12)
-        for i, a in enumerate(sys.states):
-            for j, b in enumerate(sys.states):
-                if sys.matrix[i, j] != 0.0:
-                    assert is_refinement(b.base, a.base)
-                    if b.base != a.base:
-                        assert j > i  # block lower triangular in canonical order
+    @pytest.mark.parametrize(
+        "builder,n,loc",
+        [pytest.param("T", n, loc, id=f"{n}-{loc}") for n, loc in STRUCTURE_SHAPES]
+        + [
+            pytest.param(builder, n, loc, id=f"{builder}-{n}-{loc}")
+            for builder in ("base", "Q")
+            for n, loc in STRUCTURE_SHAPES
+        ],
+    )
+    def test_rows_stochastic_and_triangular(self, builder, n, loc):
+        """T and the block matrix are stochastic, Q is a generator, and every
+        move of each goes to a refinement of its source's base partition."""
+        if builder == "T":
+            sys = build_linear_system(factories.random_model(RNG, n, loc))
+            bases, matrix = [s.base for s in sys.states], sys.matrix
+        elif builder == "base":
+            bases, matrix = build_base_matrix(factories.random_model(STRUCTURE_RNG, n, loc))
+        else:
+            sys = build_generator(factories.random_ct_model(STRUCTURE_RNG, n, loc))
+            bases, matrix = [s.base for s in sys.states], sys.matrix
+        off = matrix - np.diag(np.diag(matrix))
+        assert (off if builder == "Q" else matrix).min() >= 0.0
+        np.testing.assert_allclose(
+            matrix.sum(axis=1), 0.0 if builder == "Q" else 1.0, atol=1e-12
+        )
+        for i, j in zip(*np.nonzero(matrix)):
+            assert is_refinement(bases[j], bases[i])
+            if bases[j] != bases[i]:
+                assert j > i  # block upper triangular in canonical order
 
     def test_states_sorted_and_start_present(self):
         model = factories.random_model(RNG, 3, 2)
@@ -228,10 +252,11 @@ class TestMatrixPower:
     def test_powering_paths_agree(self):
         m = RNG.random((6, 6))
         m /= m.sum(axis=1, keepdims=True)
-        for t in (0, 1, 5, 8, 9, 17, 64):
-            np.testing.assert_allclose(
-                matrix_power(m, t), np.linalg.matrix_power(m, t), atol=1e-13
-            )
+        repeated = np.eye(6)
+        for t in range(65):
+            if t in (0, 1, 5, 8, 9, 17, 64):
+                np.testing.assert_allclose(matrix_power(m, t), repeated, atol=1e-13)
+            repeated = repeated @ m
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="negative"):
@@ -241,10 +266,8 @@ class TestMatrixPower:
 class TestReachability:
     def test_reachable_set_closed_under_transitions(self):
         model = factories.random_model(RNG, 4, 2)
-        states = reachable_partitions(model, coarsest(range(4)))
+        states, _ = build_base_matrix(model, coarsest(range(4)))
         sset = set(states)
-        from recolat.linear import base_transition_row
-
         for delta in states:
             assert set(base_transition_row(model, delta)) <= sset
 
@@ -255,7 +278,7 @@ class TestReachability:
             {Partition([[0, 1], [2]]): 0.5, Partition([[0], [1], [2]]): 0.5},
             [[0.6, 0.4], [0.3, 0.7]],
         )
-        states = reachable_partitions(model, coarsest(range(3)))
+        states, _ = build_base_matrix(model, coarsest(range(3)))
         got = {p for p in states}
         want = {
             coarsest(range(3)),
@@ -263,3 +286,30 @@ class TestReachability:
             Partition([[0], [1], [2]]),
         }
         assert got == want
+
+
+class TestTrustedStates:
+    def test_inner_loop_states_match_validated_ones(self):
+        # with every partition in the support, fragments of a split block can
+        # precede blocks on their left, so glued targets must be re-sorted
+        n, loc = 4, 2
+        space = TypeSpace((2,) * n)
+        parts = enumerate_partitions(range(n))
+        weights = RNG.dirichlet(np.ones(len(parts)))
+        mig = RNG.random((loc, loc)) + 0.1
+        model = RecombinationModel(
+            space, dict(zip(parts, weights)), mig / mig.sum(axis=1, keepdims=True)
+        )
+        gen = RNG.random((loc, loc))
+        np.fill_diagonal(gen, 0.0)
+        np.fill_diagonal(gen, -gen.sum(axis=1))
+        ct = CtModel(space, {p: 1.0 + RNG.random() for p in parts if len(p) > 1}, gen)
+        systems = [build_linear_system(model), build_generator(ct)]
+        states = [s for sys in systems for s in sys.states]
+        targets = [t for s in systems[0].states for t in transition_row(model, s)]
+        assert any(a[-1] > b[0] for s in states for (a, _), (b, _) in zip(s, s.items[1:]))
+        for s in states + targets:
+            valid = LabelledPartition(s.items)
+            assert s == valid and hash(s) == hash(valid)
+        for sys in systems:
+            assert len({LabelledPartition(s.items) for s in sys.states}) == len(sys.states)
