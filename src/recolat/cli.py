@@ -12,7 +12,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .asymptotics import limit_metapopulation, qld
 from .ctime import CtModel, checked_generator, ct_solve_dual, integrate
 from .forward import RecombinationModel, backward_from_forward, checked_migration, iterate
 from .linear import build_base_matrix, build_linear_system, solve_linear
-from .lpp import duality_estimate
+from .lpp import KEY_LIMIT, duality_estimate
 from .measures import Distribution, Metapopulation, TypeSpace, tensor
 from .partitions import Partition
 from .serialize import (
@@ -61,44 +63,35 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _number(value, path: str, *, minimum=None, integral=False):
+def _number(value, path: str, *, minimum=None, maximum=None, integral=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     if integral and not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(path, f"must be >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(path, f"must be <= {maximum}, got {value!r}")
     return value
 
 
+@dataclass
 class RunConfig:
     """Parsed and validated run description."""
 
-    def __init__(
-        self,
-        mode: str,
-        space: TypeSpace,
-        location_names: list[str],
-        recomb_entries: list[tuple[Partition, float]],
-        migration_doc: dict,
-        model,
-        initial: Metapopulation,
-        t,
-        seed,
-        replicates,
-        dt,
-    ):
-        self.mode = mode
-        self.space = space
-        self.location_names = location_names
-        self.recomb_entries = recomb_entries
-        self.migration_doc = migration_doc
-        self.model = model
-        self.initial = initial
-        self.t = t
-        self.seed = seed
-        self.replicates = replicates
-        self.dt = dt
+    mode: str
+    space: TypeSpace
+    location_names: list[str]
+    recomb_entries: list[tuple[Partition, float]]
+    migration_doc: dict
+    model: RecombinationModel | CtModel
+    initial: Metapopulation
+    t: int | float | None
+    seed: int | None
+    replicates: int | None
+    dt: float | None
 
     def to_doc(self) -> dict:
         doc = {
@@ -282,7 +275,8 @@ def parse_config(doc: dict) -> RunConfig:
             t = float(_number(t, "t", minimum=0.0))
     seed = doc.get("seed")
     if seed is not None:
-        seed = _number(seed, "seed", minimum=0, integral=True)
+        # location alpha samples under seed + alpha, a Philox key word
+        seed = _number(seed, "seed", minimum=0, maximum=KEY_LIMIT - L, integral=True)
     replicates = doc.get("replicates")
     if replicates is not None:
         replicates = _number(replicates, "replicates", minimum=1, integral=True)
@@ -501,21 +495,18 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 1
+    if isinstance(doc, dict):
+        # flags replace config fields before parsing, so they get the same checks
+        t = args.t
+        overrides = {
+            "t": int(t) if t is not None and t.is_integer() else t,
+            "seed": args.seed,
+            "replicates": args.replicates,
+            "dt": getattr(args, "dt", None),
+        }
+        doc.update((k, v) for k, v in overrides.items() if v is not None)
     try:
         config = parse_config(doc)
-        if args.t is not None:
-            if config.mode == "discrete":
-                if args.t != int(args.t) or args.t < 0:
-                    raise ConfigError("t", f"discrete horizon must be a non-negative integer, got {args.t!r}")
-                config.t = int(args.t)
-            else:
-                config.t = args.t
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.replicates is not None:
-            config.replicates = args.replicates
-        if getattr(args, "dt", None) is not None:
-            config.dt = args.dt
         table, payload = run(
             args.command, config, getattr(args, "matrix", "T")
         )

@@ -10,9 +10,15 @@ of the old label; the split happens before the relabelling. Averaging the
 recombinator of the final state applied to the initial metapopulation over
 replicates estimates the forward solution started from a single-block state.
 
-Replicates use counter-based bit generators keyed by (seed, replicate), so
-any replicate can be regenerated in isolation and ensembles are reproducible
-regardless of scheduling.
+Random streams are counter-based Philox generators keyed by (seed, stream),
+both in [0, 2**64) (`replicate_rng`), so results depend only on the
+arguments, never on scheduling:
+
+- `simulate` and `state_histograms` run one replicate at a time through
+  `lpp_step`; replicate i draws from stream i.
+- `duality_estimate` steps CHUNK = 1024 replicates together as integer
+  arrays; chunk c (replicates c*CHUNK onwards) draws from stream c. Its
+  numbers for a seed therefore differ from those of `simulate`.
 """
 
 from __future__ import annotations
@@ -26,43 +32,26 @@ import numpy as np
 from .forward import RecombinationModel
 from .linear import build_recombinator_vector, matrix_power
 from .measures import Distribution, Metapopulation, block_products
-from .partitions import LabelledPartition, Partition, _by_block_min, whole_labelled
+from .partitions import LabelledPartition, Partition, _by_block_min
 
 _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
+# replicates `duality_estimate` steps together, one stream each; a chunk's
+# temporaries, a few (CHUNK, n) arrays and one (CHUNK, n, n) mask, stay small
+CHUNK = 1024
+KEY_LIMIT = 2**64  # seeds and streams are Philox key words
+
 
 def replicate_rng(seed: int, stream: int) -> np.random.Generator:
-    """Independent generator for one replicate: counter-based, keyed by
-    (seed, stream)."""
-    if seed < 0 or stream < 0:
-        raise ValueError("seed and stream must be non-negative")
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
-
-
-class _StreamPool:
-    """Reuses one bit generator across replicates by resetting its key;
-    streams are bitwise identical to fresh replicate_rng(seed, stream)."""
-
-    def __init__(self, seed: int):
-        if seed < 0:
-            raise ValueError("seed and stream must be non-negative")
-        self._bg = np.random.Philox(key=[seed, 0])
-        self.generator = np.random.Generator(self._bg)
-        self._key = np.zeros(2, dtype=np.uint64)
-        self._key[0] = seed
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-    def select(self, stream: int) -> np.random.Generator:
-        self._key[1] = stream
-        self._bg.state = self._state
-        return self.generator
+    """Independent generator for one stream: counter-based Philox keyed by
+    (seed, stream), both in [0, 2**64)."""
+    if not (0 <= seed < KEY_LIMIT and 0 <= stream < KEY_LIMIT):
+        raise ValueError(
+            f"seed and stream must be in [0, 2**64), got {seed!r} and {stream!r}"
+        )
+    # an explicit uint64 key: numpy turns a list holding ints >= 2**63 into float64
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _sampling_tables(model: RecombinationModel):
@@ -145,9 +134,8 @@ def simulate(
     nsites = model.num_sites
     if set(bdelta0.base_set) != set(model.sites):
         raise ValueError("start state must cover all sites")
-    pool = _StreamPool(seed)
     for rep in range(replicates):
-        rng = pool.select(rep)
+        rng = replicate_rng(seed, rep)
         states = [bdelta0]
         absorbed = None if len(bdelta0) < nsites else 0
         for k in range(t):
@@ -183,6 +171,70 @@ class DualityEstimate:
     final_counts: dict[LabelledPartition, int]
 
 
+def _final_codes(
+    location: int, model: RecombinationModel, t: int, replicates: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct final states of `replicates` runs from the whole-set state
+    at `location`, and their counts.
+
+    A state is a row of RGS block ids, one per site, followed by one location
+    label per site; rows come back in lexicographic order, which is the
+    `sort_key` order. Chunks of CHUNK replicates are stepped together and
+    their final rows merged into the counts, so memory does not grow with
+    `replicates`.
+    """
+    n = model.num_sites
+    sites = np.arange(n)
+    cum_r = np.cumsum(np.fromiter(model.recomb.values(), dtype=float))
+    cum_r[-1] = 1.0
+    pieces = np.array([p.rgs() for p in model.recomb])  # (partitions, n)
+    cum_m = np.cumsum(model.migration, axis=1)
+    cum_m[:, -1] = 1.0
+    # rows as big-endian uint16 bytes, whose memcmp order is the rows'
+    # lexicographic order (site and label numbers fit in 16 bits)
+    row_bytes = np.dtype((np.void, 2 * n * 2))
+    codes = np.empty(0, dtype=row_bytes)
+    counts = np.empty(0, dtype=np.intp)
+    for c, done in enumerate(range(0, replicates, CHUNK)):
+        rows = min(CHUNK, replicates - done)
+        rng = replicate_rng(seed, c)
+        r = np.arange(rows)[:, None]
+        block = np.zeros((rows, n), dtype=np.intp)
+        label = np.full((rows, n), location, dtype=np.intp)
+        for _ in range(t):
+            # one partition per block slot, as lpp_step draws per block
+            draw = np.searchsorted(cum_r, rng.random((rows, n)), side="right")
+            key = block * n + pieces[draw[r, block], sites]
+            # renumber fragments by first occurrence: the canonical RGS
+            first = (key[:, :, None] == key[:, None, :]).argmax(axis=2)
+            rank = np.cumsum(first == sites, axis=1) - 1
+            block = rank[r, first]
+            # one uniform per new block, inverted on the old label's row
+            u = rng.random((rows, n))[r, rank]
+            moved = np.zeros_like(label)
+            for column in cum_m[:, :-1].T:
+                moved += column[label] <= u
+            label = moved[r, first]
+        final = np.concatenate([block, label], axis=1).astype(">u2")
+        codes, inverse = np.unique(
+            np.concatenate([codes, final.view(row_bytes).ravel()]), return_inverse=True
+        )
+        counts = np.bincount(
+            inverse, weights=np.concatenate([counts, np.ones(rows)])
+        ).astype(np.intp)
+    return codes.view(">u2").reshape(-1, 2 * n), counts
+
+
+def _decode(code: list[int], n: int) -> LabelledPartition:
+    digits, labels = code[:n], code[n:]
+    blocks: list[list[int]] = [[] for _ in range(max(digits) + 1)]
+    for site, b in enumerate(digits):
+        blocks[b].append(site)
+    return LabelledPartition._from_canonical(
+        tuple((tuple(b), labels[b[0]]) for b in blocks)
+    )
+
+
 def duality_estimate(
     location: int,
     mu0: Metapopulation,
@@ -195,21 +247,25 @@ def duality_estimate(
     recombinator of the simulated final state applied to the initial
     metapopulation.
 
-    Identical final states are grouped before averaging, so the reduction is
-    a fixed-order deterministic sum no matter how replicates are scheduled;
-    the standard error is the exact per-coordinate sample standard error of
-    the grouped ensemble.
+    Replicates are stepped in chunks of CHUNK; chunk c draws from
+    `replicate_rng(seed, c)`. Identical final states are grouped before
+    averaging, so the reduction is a fixed-order deterministic sum; the
+    standard error is the exact per-coordinate sample standard error of the
+    grouped ensemble.
     """
     if not 0 <= location < model.num_locations:
         raise ValueError(f"location {location} out of range")
-    start = whole_labelled(model.sites, location)
-    counts: dict[LabelledPartition, int] = {}
-    for traj in simulate(start, model, t, replicates, seed):
-        counts[traj.final] = counts.get(traj.final, 0) + 1
+    if t < 0:
+        raise ValueError("negative horizon")
+    if replicates < 1:
+        raise ValueError("need at least one replicate")
+    codes, tally = _final_codes(location, model, t, replicates, seed)
+    n = model.num_sites
+    ordered = [_decode(code, n) for code in codes.tolist()]
+    counts = dict(zip(ordered, tally.tolist()))
 
-    ordered = sorted(counts, key=lambda s: s.sort_key())
     vectors = build_recombinator_vector(mu0, ordered)
-    weights = np.array([counts[s] for s in ordered], dtype=float)
+    weights = tally.astype(float)
     mean = (weights / replicates) @ vectors
     if replicates > 1:
         centered = vectors - mean

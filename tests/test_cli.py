@@ -157,6 +157,10 @@ class TestParseConfig:
             (lambda d: d.__setitem__("locations", ["left", "left"]), r"locations"),
             (lambda d: d.update(mode="continuous", migration={"backward": [[0.1, -0.1], [0.2, -0.2]]}),
              r"^migration"),
+            (lambda d: d.__setitem__("seed", 2**64), r"^seed: must be <="),
+            # location 1 samples under seed + 1 = 2**64
+            (lambda d: d.__setitem__("seed", 2**64 - 1), r"^seed: must be <= 18446744073709551614"),
+            (lambda d: d.__setitem__("replicates", float("nan")), r"^replicates: expected a finite"),
         ],
     )
     def test_errors_carry_field_paths(self, mutate, path):
@@ -164,6 +168,26 @@ class TestParseConfig:
         mutate(doc)
         with pytest.raises(ConfigError, match=path):
             parse_config(doc)
+
+    @pytest.mark.parametrize(
+        "doc, argv, message",
+        [
+            (BASE, ["simulate", "--seed", "-1"], "seed: must be >= 0, got -1"),
+            (BASE, ["simulate", "--seed", str(2**64)], "seed: must be <="),
+            (BASE, ["simulate", "--seed", str(2**64 - 1)], "seed: must be <="),
+            (BASE, ["simulate", "--replicates", "0"], "replicates: must be >= 1, got 0"),
+            (BASE, ["iterate", "--t", "-1"], "t: must be >= 0, got -1"),
+            (CT, ["ct-integrate", "--dt", "0"], "dt: must be positive"),
+            (CT, ["ct-integrate", "--t", "-1"], "t: must be >= 0.0, got -1"),
+            (CT, ["ct-solve", "--t", "nan"], "t: expected a finite number"),
+        ],
+    )
+    def test_flag_overrides_carry_field_paths(self, tmp_path, doc, argv, message):
+        # flags go through the same field checks as the config document
+        path = write_config(tmp_path, doc)
+        code, out, err = run_cli([argv[0], "--config", path, *argv[1:]])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}")
 
     def test_forward_needs_sizes(self):
         doc = copy.deepcopy(BASE)

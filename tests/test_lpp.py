@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from recolat.forward import RecombinationModel, iterate
-from recolat.linear import transition_row
+from recolat.linear import build_linear_system, transition_row
 from recolat.lpp import (
+    CHUNK,
     DualityEstimate,
     duality_estimate,
     lpp_step,
@@ -43,6 +46,30 @@ class TestRngStreams:
             replicate_rng(-1, 0)
         with pytest.raises(ValueError):
             replicate_rng(0, -1)
+
+    def test_small_keys_keep_their_streams(self):
+        want = np.random.Generator(np.random.Philox(key=[7, 3])).random(4)
+        np.testing.assert_array_equal(replicate_rng(7, 3).random(4), want)
+
+    def test_keys_from_two_to_the_63_are_distinct(self):
+        # a list key turns into float64 from 2**63 up, merging neighbours
+        a = replicate_rng(2**63, 0).random(4)
+        b = replicate_rng(2**63 + 1, 0).random(4)
+        assert not np.array_equal(a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = replicate_rng(2**64 - 1, 2**64 - 1).random(4)
+        assert not np.array_equal(top, replicate_rng(2**64 - 2, 2**64 - 1).random(4))
+
+    def test_keys_beyond_64_bits_rejected(self):
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            replicate_rng(2**64, 0)
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            replicate_rng(0, 2**64)
+        model = factories.random_model(np.random.default_rng(64), 2, 2)
+        mu0 = factories.random_metapop(np.random.default_rng(65), model.space, 2)
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            duality_estimate(0, mu0, model, 1, 10, seed=2**64)
 
     def test_simulate_uses_fresh_stream_per_replicate(self):
         model = factories.random_model(RNG, 3, 2)
@@ -191,6 +218,95 @@ class TestDuality:
         mu0 = factories.random_metapop(RNG, model.space, 2)
         with pytest.raises(ValueError, match="location"):
             duality_estimate(5, mu0, model, 1, 10)
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_final_state_law_matches_matrix_power(self, t):
+        rng = np.random.default_rng(1401)
+        model = factories.random_model(rng, 3, 2)
+        mu0 = factories.random_metapop(rng, model.space, 2)
+        system = build_linear_system(model)
+        start = whole_labelled(model.sites, 1)
+        row = np.linalg.matrix_power(system.matrix, t)[system.pos[start]]
+        n = 40000
+        counts = duality_estimate(1, mu0, model, t, n, seed=31 + t).final_counts
+        assert set(counts) <= set(system.pos)
+        tested = 0
+        for j, p in enumerate(row):
+            if p < 1e-4:
+                continue
+            got = counts.get(system.states[j], 0) / n
+            assert abs(got - p) <= 5 * np.sqrt(p * (1 - p) / n), (system.states[j], got, p)
+            tested += 1
+        assert tested > 3
+
+    def test_bitwise_reproducible_across_chunks(self):
+        rng = np.random.default_rng(1402)
+        model = factories.random_model(rng, 3, 3)
+        mu0 = factories.random_metapop(rng, model.space, 3)
+        a = duality_estimate(2, mu0, model, t=3, replicates=CHUNK + 1, seed=5)
+        b = duality_estimate(2, mu0, model, t=3, replicates=CHUNK + 1, seed=5)
+        np.testing.assert_array_equal(a.estimate.weights, b.estimate.weights)
+        np.testing.assert_array_equal(a.stderr, b.stderr)
+        assert list(a.final_counts.items()) == list(b.final_counts.items())
+        assert sum(a.final_counts.values()) == CHUNK + 1
+        # chunk 0 draws the same stream whatever follows it
+        first = duality_estimate(2, mu0, model, t=3, replicates=CHUNK, seed=5).final_counts
+        assert set(first) <= set(a.final_counts)
+        extra = sorted(k - first.get(s, 0) for s, k in a.final_counts.items())
+        assert extra == [0] * (len(extra) - 1) + [1]
+        c = duality_estimate(2, mu0, model, t=3, replicates=CHUNK + 1, seed=6)
+        assert not np.array_equal(a.estimate.weights, c.estimate.weights)
+
+    def test_final_states_canonical_and_sorted(self):
+        rng = np.random.default_rng(1403)
+        model = factories.random_model(rng, 4, 3)
+        mu0 = factories.random_metapop(rng, model.space, 3)
+        states = list(duality_estimate(0, mu0, model, 3, 3000, seed=2).final_counts)
+        assert len(states) > 20
+        for s in states:
+            checked = LabelledPartition(s.items)
+            assert s == checked and hash(s) == hash(checked)
+            assert s.base_set == model.sites
+        assert states == sorted(states, key=lambda s: s.sort_key())
+
+    def test_nine_sites_sparse_support_matches_iteration(self):
+        rng = np.random.default_rng(1404)
+        # too many labelled states for the linear route; iteration is the check
+        sites = range(9)
+        recomb = {
+            Partition([sites]): 0.5,
+            Partition([(0, 1, 2, 3), (4, 5, 6, 7, 8)]): 0.2,
+            Partition([(0, 2, 4, 6, 8), (1, 3, 5, 7)]): 0.2,
+            finest(sites): 0.1,
+        }
+        model = RecombinationModel(TypeSpace((2,) * 9), recomb, [[0.7, 0.3], [0.4, 0.6]])
+        mu0 = factories.random_metapop(rng, model.space, 2)
+        exact = iterate(mu0, model, 4)[-1]
+        for alpha in range(2):
+            est = duality_estimate(alpha, mu0, model, 4, 20000, seed=40 + alpha)
+            diff = np.abs(est.estimate.weights - exact[alpha].weights)
+            assert np.all(diff <= 4 * est.stderr + 1e-12)
+
+    def test_fourteen_sites_smoke(self):
+        rng = np.random.default_rng(1405)
+        sites = range(14)
+        recomb = {
+            Partition([sites]): 0.5,
+            Partition([range(7), range(7, 14)]): 0.2,
+            finest(sites): 0.3,
+        }
+        space = TypeSpace((2,) + (1,) * 13)
+        model = RecombinationModel(space, recomb, [[0.5, 0.5], [0.2, 0.8]])
+        mu0 = factories.random_metapop(rng, space, 2)
+        est = duality_estimate(1, mu0, model, 6, 3000, seed=14)
+        assert sum(est.final_counts.values()) == 3000
+        assert any(len(s) == 14 for s in est.final_counts)
+        for s in est.final_counts:
+            assert s == LabelledPartition(s.items) and s.base_set == model.sites
+        np.testing.assert_allclose(est.estimate.weights, iterate(mu0, model, 6)[-1][1].weights,
+                                   atol=5 * est.stderr.max())
 
 
 class TestHistograms:
