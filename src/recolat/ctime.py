@@ -13,7 +13,9 @@ generator is assembled by `linear.closure`, the routine that also builds the
 discrete matrices T and the label-free block matrix; `build_generator` only
 supplies the jump rates and sets the diagonal to minus the row sums.
 
-The drift's product measures come from `measures.block_products`, whose
+The drift's product measures come from the recombinator kernel of
+`measures`: a `CtModel` compiles its split partitions into one `BlockPlan`
+at construction, and every `ct_rhs` call evaluates that plan, whose
 marginals after the first are divided by the location's mass. Each pull
 then keeps the mass of its row, so the flow conserves mass for any mass,
 not only on the simplex, and RK4 round-off does not grow. Unnormalised
@@ -23,6 +25,7 @@ is an unstable fixed point.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -31,10 +34,12 @@ from scipy.linalg import expm
 
 from .linear import LinearSystem, build_recombinator_vector, checked_starts, closure
 from .lpp import replicate_rng
-from .measures import Metapopulation, TypeSpace, block_products
+from .measures import BlockPlan, Metapopulation, TypeSpace
 from .partitions import LabelledPartition, Partition, glued_labelled, whole_labelled
 
 GENERATOR_ATOL = 1e-12
+# t_end/dt within this of a whole number k means k RK4 steps
+GRID_RTOL = 1e-9
 
 
 def checked_generator(generator) -> np.ndarray:
@@ -73,9 +78,9 @@ class CtModel:
         object.__setattr__(self, "generator", checked_generator(generator))
         # keeping everything together changes nothing, so only splits pull
         split = [part for part in clean if len(part) > 1]
-        own = [[(b, None) for b in part.blocks] for part in split]
+        plan = BlockPlan(space.sites, [[(b, None) for b in part.blocks] for part in split])
         rhos = np.array([clean[p] for p in split])
-        object.__setattr__(self, "_pulls", (own, rhos, rhos.sum()))
+        object.__setattr__(self, "_pulls", (plan, rhos, rhos.sum()))
         object.__setattr__(self, "_marginal_cache", {})
 
     def __setattr__(self, name, value):
@@ -114,10 +119,10 @@ def ct_rhs(state, model: CtModel) -> np.ndarray:
     Rows sum to zero."""
     stack = state.stack() if isinstance(state, Metapopulation) else np.asarray(state, float)
     out = model.generator @ stack
-    own, rhos, total = model._pulls
-    if own:
-        nd = stack.reshape((stack.shape[0],) + model.space.alphabet_sizes)
-        prods = block_products(nd, model.sites, own).reshape(len(own), -1)
+    plan, rhos, total = model._pulls
+    if rhos.size:
+        prods = plan(stack.reshape((stack.shape[0],) + model.space.alphabet_sizes))
+        prods = prods.reshape(rhos.size, -1)
         out += (rhos @ prods).reshape(stack.shape) - total * stack
     return out
 
@@ -143,37 +148,37 @@ class CtTrajectory:
 
 
 def integrate(omega0: Metapopulation, model: CtModel, t_end: float, dt: float) -> CtTrajectory:
-    """Classic fixed-step RK4. The final partial step is shortened to land
-    exactly on t_end."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_end < 0:
-        raise ValueError("negative horizon")
+    """Classic fixed-step RK4 on the grid k*dt, with a final partial step
+    that lands exactly on t_end. The step count is fixed up front, so a
+    ratio t_end/dt that is whole up to round-off adds no sliver step."""
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
+    if not 0 <= t_end < np.inf:
+        raise ValueError("negative or non-finite horizon")
     if omega0.support != model.sites:
         raise ValueError("initial state must cover all sites")
     if len(omega0) != model.num_locations:
         raise ValueError("one distribution per location required")
+    steps = math.ceil(t_end / dt - GRID_RTOL)
+    times = np.arange(steps + 1) * dt
+    times[-1] = t_end
     stack = omega0.stack()
-    times = [0.0]
     states = [omega0]
     drift = float(np.abs(stack.sum(axis=1) - 1.0).max())
-    t = 0.0
-    while t < t_end - 1e-12:
-        h = min(dt, t_end - t)
+    for k in range(1, steps + 1):
+        h = dt if k < steps else t_end - times[k - 1]
         k1 = ct_rhs(stack, model)
         k2 = ct_rhs(stack + 0.5 * h * k1, model)
         k3 = ct_rhs(stack + 0.5 * h * k2, model)
         k4 = ct_rhs(stack + h * k3, model)
         stack = stack + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
         if stack.min() < -1e-9:
             raise ValueError("step size too large")
         drift = max(drift, float(np.abs(stack.sum(axis=1) - 1.0).max()))
-        times.append(t)
         states.append(
             Metapopulation.from_stack(model.space, model.sites, stack, atol=1e-7)
         )
-    return CtTrajectory(np.asarray(times), states, drift)
+    return CtTrajectory(times, states, drift)
 
 
 def _jump_targets(state: LabelledPartition, model: CtModel):
@@ -272,11 +277,11 @@ def ct_two_site(omega0: Metapopulation, model: CtModel, t: float) -> Metapopulat
     shape = model.space.shape(model.sites)
     term1 = np.exp(-rho * t) * (expm(t * gen) @ stack0)
     if rho > 0 and t > 0:
-        split = [(b, None) for b in fin.blocks]
+        split = BlockPlan(model.sites, [[(b, None) for b in fin.blocks]])
 
         def integrand(sigma):
             mixed = expm((t - sigma) * gen) @ stack0
-            prod = block_products(mixed.reshape((-1,) + shape), model.sites, [split])[0]
+            prod = split(mixed.reshape((-1,) + shape))[0]
             weights = np.exp(-rho * sigma) * expm(sigma * gen)
             return (weights @ prod).reshape(-1)
 

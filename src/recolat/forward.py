@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .measures import Metapopulation, TypeSpace, block_products
+from .measures import BlockPlan, Metapopulation, TypeSpace, block_products
 from .partitions import LabelledPartition, Partition
 
 MASS_ATOL = 1e-12
@@ -48,7 +48,9 @@ def checked_migration(migration) -> np.ndarray:
 class RecombinationModel:
     """Type space, recombination distribution and backward migration matrix."""
 
-    __slots__ = ("space", "recomb", "migration", "_marginal_cache", "_law_cache", "__weakref__")
+    __slots__ = (
+        "space", "recomb", "migration", "_pulls", "_marginal_cache", "_law_cache", "__weakref__"
+    )
 
     def __init__(
         self,
@@ -80,6 +82,8 @@ class RecombinationModel:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "recomb", dict(clean))
         object.__setattr__(self, "migration", checked_migration(migration))
+        plan = BlockPlan(space.sites, [[(b, None) for b in part.blocks] for part in clean])
+        object.__setattr__(self, "_pulls", (plan, np.array(list(clean.values()))))
         object.__setattr__(self, "_marginal_cache", {})
         object.__setattr__(self, "_law_cache", {})  # filled by migrecomb_probs
 
@@ -161,9 +165,8 @@ def recombine(mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
     """Within-location recombination across the full site set."""
     if mu.support != model.sites:
         raise ValueError("recombine needs full-support distributions")
-    own = [[(b, None) for b in part.blocks] for part in model.recomb]
-    prods = block_products(mu.as_array(), mu.support, own)
-    acc = np.tensordot(list(model.recomb.values()), prods, axes=1)
+    plan, weights = model._pulls
+    acc = np.tensordot(weights, plan(mu.as_array()), axes=1)
     # the map conserves mass; strip float residue so long trajectories do
     # not accumulate drift
     acc /= acc.sum(axis=1, keepdims=True)

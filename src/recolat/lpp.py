@@ -31,7 +31,7 @@ import numpy as np
 
 from .forward import RecombinationModel
 from .linear import build_recombinator_vector, matrix_power
-from .measures import Distribution, Metapopulation, block_products
+from .measures import BlockPlan, Distribution, Metapopulation
 from .partitions import LabelledPartition, Partition, _by_block_min
 
 _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -298,11 +298,11 @@ def two_site_closed_form(
     powers = [matrix_power(mig, k) for k in range(t + 1)]
     stack0 = mu0.stack()
     shape = (nloc,) + space.shape(mu0.support)
-    split = [((0,), None), ((1,), None)]
+    split = BlockPlan(mu0.support, [[((0,), None), ((1,), None)]])
     acc = (r_whole**t) * (powers[t] @ stack0)
     for sigma in range(1, t + 1):
         coeff = r_whole ** (sigma - 1) * r_split
         moved = (powers[t - sigma + 1] @ stack0).reshape(shape)
-        cross = block_products(moved, mu0.support, [split])[0]
+        cross = split(moved)[0]
         acc += coeff * (powers[sigma - 1] @ cross)
     return Metapopulation.from_stack(space, mu0.support, acc, atol=1e-9)

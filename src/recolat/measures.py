@@ -6,8 +6,9 @@ weights densely in mixed-radix order, first support site slowest. That order
 is exactly numpy's C order for the shape given by the per-site alphabet
 sizes, so marginalising is an axis sum and the tensor product is an outer
 product followed by an axis permutation. `block_products` is the one
-array-level recombinator kernel that every solver route evaluates; `tensor`
-stays as a measure-level utility.
+array-level recombinator kernel that every solver route evaluates; routes
+that evaluate one state list at every step (`ct_rhs`, `recombine`) keep it
+compiled as a `BlockPlan`. `tensor` stays as a measure-level utility.
 
 A distribution with empty support is the scalar 1: the neutral factor of the
 tensor product. Constructors validate rather than repair: weights that are
@@ -245,6 +246,73 @@ class Metapopulation:
         return f"Metapopulation({len(self.dists)} locations, support={self.support})"
 
 
+class BlockPlan:
+    """`block_products` compiled for one (support, state list): call it on a
+    stack to evaluate. A plan holds no array of any stack, so one plan
+    serves any number of stacks."""
+
+    __slots__ = ("own", "covered", "blocks", "entries", "depth", "slots")
+
+    def __init__(self, support: Sequence[int], states: Sequence):
+        support = tuple(support)
+        kinds = {label is None for items in states for _, label in items}
+        if len(kinds) > 1:
+            raise ValueError("labels of one call must be all None or all int")
+        self.own = False not in kinds
+        width = max(map(len, states), default=0)
+        entries: dict = {}  # (block, normalised) -> marginal entry
+        # per block slot: (entry, label) -> table row, and the row each state
+        # reads; an empty slot reads a row of ones, entry -1
+        rows: list = [{} for _ in range(width)]
+        codes = [[None] * len(states) for _ in range(width)]
+        for i, items in enumerate(states):
+            for k, (block, label) in enumerate(items):
+                key = (entries.setdefault((block, k > 0), len(entries)), label)
+                codes[k][i] = rows[k].setdefault(key, len(rows[k]))
+            for k in range(len(items), width):
+                codes[k][i] = rows[k].setdefault((-1, None), len(rows[k]))
+        by_block: dict = {}
+        for (block, normed), e in entries.items():
+            by_block.setdefault(block, [None, None])[normed] = e
+        covered = {s for block in by_block for s in block}
+        self.covered = tuple(s in covered for s in support)
+        self.blocks = [
+            (tuple(a for a, s in enumerate(support, 1) if s not in block), raw, normed)
+            for block, (raw, normed) in by_block.items()
+        ]
+        self.entries = len(entries)
+        self.depth = max(map(len, rows), default=0)
+        self.slots = [(list(keys), np.array(slot, dtype=np.intp)) for keys, slot in zip(rows, codes)]
+
+    def __call__(self, stack: np.ndarray) -> np.ndarray:
+        shape = tuple(size if c else 1 for size, c in zip(stack.shape[1:], self.covered))
+        mass = np.add.reduce(stack, tuple(range(1, stack.ndim)), keepdims=True)
+        # marginals keep their summed axes as size 1; the last entry is the
+        # ones of an empty slot
+        margs = [None] * self.entries + [1.0]
+        for drop, raw, normed in self.blocks:
+            marg = np.add.reduce(stack, drop, keepdims=True) if drop else stack
+            if raw is not None:
+                margs[raw] = marg
+            if normed is not None:
+                margs[normed] = marg / mass
+        table = np.empty((self.depth, stack.shape[0] if self.own else 1) + shape)
+        flat = table.reshape(table.shape[:2] + (-1,))
+        prod = factor = None
+        for keys, codes in self.slots:
+            for j, (e, label) in enumerate(keys):
+                table[j] = margs[e] if label is None else margs[e][label]
+            if prod is None:
+                prod = flat.take(codes, axis=0)
+                continue
+            if factor is None:
+                factor = np.empty_like(prod)
+            # codes are in range; mode "raise" would buffer the output
+            flat.take(codes, axis=0, out=factor, mode="clip")
+            np.multiply(prod, factor, out=prod)
+        return prod
+
+
 def block_products(stack: np.ndarray, support: Sequence[int], states: Sequence) -> np.ndarray:
     """The recombinator kernel: the product of block marginals, per state.
 
@@ -252,8 +320,9 @@ def block_products(stack: np.ndarray, support: Sequence[int], states: Sequence) 
     site of `support`. A state is a sequence of (block, label) pairs, a block
     being a tuple of support sites. Label None takes each location's own
     marginal, so the product has a row per location; an int label reads that
-    location's marginal. Returns (states, rows, dim), dim covering the sites
-    the states cover; all states of one call must give the same shape.
+    location's marginal. The labels of one call are all None or all int.
+    Returns (states, rows, dim), dim covering the sites the states cover; all
+    states of one call must give the same shape.
 
     Mass contract: every block marginal after the first is divided by the
     total mass of its location, so a product carries its first block's mass
@@ -261,31 +330,25 @@ def block_products(stack: np.ndarray, support: Sequence[int], states: Sequence) 
     the mass of their row, which makes the recombination drift conserve
     mass. A one-block state returns its marginal unchanged.
 
-    Each block's marginal is summed once per call and shared by all states.
-    Summed axes are kept as size 1, so products broadcast straight into
-    global site order, with no transpose and no limit on the site count.
+    The kernel runs in two steps, and this function does both; callers that
+    evaluate one state list again and again keep the `BlockPlan` instead.
+    Compiling numbers the distinct blocks and, for each block slot (a
+    state's first block, its second, ...), the distinct (block, label)
+    factors that slot reads, and builds an integer table of the factor each
+    state reads there: its first block reads the raw marginal, later blocks
+    the mass-normalised one, and an empty slot a row of ones. Evaluating sums
+    each distinct block's marginal once and divides it by the mass once,
+    both kept at their summed shape. Then, slot by slot, it copies the slot's
+    factors into a table broadcast to (factors, rows, dim), gathers each
+    state's factor from it and multiplies it into the products in place;
+    factors are multiplied in block order, so the loop runs over at most the
+    number of sites and never over states. Besides the marginals, the peak
+    is three output-sized arrays: the products, the gathered factors and the
+    slot table, which has at most one factor per state. Summed axes are kept
+    as size 1, so marginals broadcast straight into global site order, with
+    no transpose and no limit on the site count.
     """
-    mass = np.add.reduce(stack, tuple(range(1, stack.ndim)), keepdims=True)
-    margs: dict = {}
-    normed: dict = {}
-    out = None
-    for i, items in enumerate(states):
-        prod = None
-        for block, label in items:
-            marg = margs.get(block)
-            if marg is None:
-                drop = tuple(a for a, s in enumerate(support, 1) if s not in block)
-                marg = margs[block] = np.add.reduce(stack, drop, keepdims=True) if drop else stack
-            if prod is not None:
-                if block not in normed:
-                    normed[block] = marg / mass
-                marg = normed[block]
-            factor = marg if label is None else marg[label : label + 1]
-            prod = factor if prod is None else prod * factor
-        if out is None:
-            out = np.empty((len(states), prod.shape[0], prod.size // prod.shape[0]))
-        out[i] = prod.reshape(out.shape[1:])
-    return out
+    return BlockPlan(support, states)(stack)
 
 
 def recombinator(bdelta: LabelledPartition, mu: Metapopulation) -> Distribution:

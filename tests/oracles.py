@@ -118,3 +118,23 @@ def brute_tensor(factors, sizes_by_site):
             val *= w[brute_index(sub, [sizes_by_site[s] for s in sup])]
         out[brute_index(letters, usizes)] = val
     return out
+
+
+def loop_block_products(stack, support, states):
+    """The recombinator kernel as a plain loop over states and blocks, with
+    the kernel's arithmetic (keepdims axis sums, later blocks divided by the
+    row mass, factors multiplied left to right), so results match bitwise."""
+    mass = np.add.reduce(stack, tuple(range(1, stack.ndim)), keepdims=True)
+    out = []
+    for items in states:
+        prod = None
+        for block, label in items:
+            drop = tuple(a for a, s in enumerate(support, 1) if s not in block)
+            marg = np.add.reduce(stack, drop, keepdims=True) if drop else stack
+            if prod is not None:
+                marg = marg / mass
+            factor = marg if label is None else marg[label : label + 1]
+            prod = factor if prod is None else prod * factor
+        out.append(prod)
+    rows = max(p.shape[0] for p in out)
+    return np.stack([np.broadcast_to(p, (rows,) + p.shape[1:]).reshape(rows, -1) for p in out])

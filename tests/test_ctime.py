@@ -172,6 +172,54 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="integration grid"):
             traj.at(0.33)
 
+    @pytest.mark.parametrize("t_end, dt, steps", [(0.9, 0.3, 3), (1.0, 1e-4, 10_000)])
+    def test_grid_lands_exactly_on_t_end(self, t_end, dt, steps):
+        # regression: the grid used to accumulate t += dt and end at
+        # 0.8999999999999999 and 0.9999999999999062 here
+        rng = np.random.default_rng(21)
+        space = TypeSpace((2,))
+        model = CtModel(space, {}, _conservative(rng.random((2, 2))))
+        om = factories.random_metapop(rng, space, 2)
+        traj = integrate(om, model, t_end, dt)
+        assert traj.times[-1] == t_end
+        assert len(traj.times) == steps + 1
+        assert traj.at(t_end) is traj.final
+
+    @pytest.mark.parametrize("t_end", [-0.1, float("nan"), float("inf")])
+    def test_bad_horizon_rejected(self, t_end):
+        # a NaN horizon used to return the initial state as the solution
+        model = factories.random_ct_model(RNG, 2, 2)
+        om = factories.random_metapop(RNG, model.space, 2)
+        with pytest.raises(ValueError, match="horizon"):
+            integrate(om, model, t_end, 0.1)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
+    def test_bad_step_rejected(self, dt):
+        # an infinite step would take no step and call the initial state the
+        # solution at t_end
+        model = factories.random_ct_model(RNG, 2, 2)
+        om = factories.random_metapop(RNG, model.space, 2)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            integrate(om, model, 1.0, dt)
+
+    def test_calls_ct_rhs_four_times_per_step(self, monkeypatch):
+        # profilers and the benchmark tracer count RHS evaluations by
+        # replacing the module attribute, so integrate must call it there
+        import recolat.ctime
+
+        calls = []
+
+        def counted(state, model):
+            calls.append(1)
+            return ct_rhs(state, model)
+
+        monkeypatch.setattr(recolat.ctime, "ct_rhs", counted)
+        model = factories.random_ct_model(RNG, 3, 2)
+        om = factories.random_metapop(RNG, model.space, 2)
+        traj = integrate(om, model, 0.55, 0.1)
+        assert len(traj.times) == 7
+        assert len(calls) == 4 * 6
+
     def test_conservation_drift_small(self):
         model = factories.random_ct_model(RNG, 3, 2)
         om = factories.random_metapop(RNG, model.space, 2)

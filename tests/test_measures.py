@@ -1,10 +1,19 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from recolat.measures import Distribution, Metapopulation, TypeSpace, recombinator, tensor
+from recolat.measures import (
+    BlockPlan,
+    Distribution,
+    Metapopulation,
+    TypeSpace,
+    block_products,
+    recombinator,
+    tensor,
+)
 from recolat.partitions import LabelledPartition, whole_labelled
 
 import oracles
@@ -251,6 +260,147 @@ class TestRecombinator:
         mu = random_metapop(ts, 2)
         with pytest.raises(ValueError, match="location"):
             recombinator(whole_labelled((0, 1), 5), mu)
+
+
+def kernel_oracle(stack, space, support, states):
+    """Products of `Distribution.marginalise` factors glued by `tensor`,
+    each row scaled by the mass of its first block's location."""
+    flat = stack.reshape(stack.shape[0], -1)
+    mass = flat.sum(axis=1)
+    dists = [Distribution(space, support, row / m) for row, m in zip(flat, mass)]
+    out = []
+    for items in states:
+        own = any(label is None for _, label in items)
+        rows = []
+        for a in range(len(dists)) if own else [0]:
+            locs = [a if label is None else label for _, label in items]
+            prod = tensor([dists[loc].marginalise(block) for (block, _), loc in zip(items, locs)])
+            rows.append(mass[locs[0]] * prod.weights)
+        out.append(rows)
+    return np.array(out)
+
+
+def random_blocks(rng, sites):
+    """A random set partition of `sites` as ascending blocks in random order."""
+    ids = rng.integers(0, len(sites), size=len(sites))
+    blocks = [tuple(s for s, i in zip(sites, ids) if i == b) for b in np.unique(ids)]
+    return [blocks[i] for i in rng.permutation(len(blocks))]
+
+
+def random_stack(rng, space, locations, support, mass=(1.0, 1.0)):
+    """(locations, *alphabet sizes) weights with row masses drawn from `mass`."""
+    rows = rng.dirichlet(np.ones(space.dim(support)), size=locations)
+    rows *= rng.uniform(*mass, size=(locations, 1))
+    return rows.reshape((locations,) + space.shape(support))
+
+
+class TestBlockProducts:
+    def test_random_supports_and_block_orders(self):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            n = int(rng.integers(1, 6))
+            space = TypeSpace(rng.integers(1, 4, size=n))
+            locations = int(rng.integers(1, 4))
+            support = tuple(int(s) for s in np.flatnonzero(rng.random(n) < 0.7)) or (0,)
+            covered = [s for s in support if rng.random() < 0.8] or [support[-1]]
+            own = rng.random() < 0.5
+            states = [
+                [
+                    (b, None if own else int(rng.integers(locations)))
+                    for b in random_blocks(rng, covered)
+                ]
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            stack = random_stack(rng, space, locations, support)
+            got = block_products(stack, support, states)
+            assert got.shape == (len(states), locations if own else 1, space.dim(covered))
+            want = kernel_oracle(stack, space, support, states)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+            np.testing.assert_array_equal(got, oracles.loop_block_products(stack, support, states))
+
+    def test_mixed_label_kinds_rejected(self):
+        states = [[((0, 2), None), ((1,), 2)], [((0, 1, 2), None)]]
+        with pytest.raises(ValueError, match="all None or all int"):
+            BlockPlan((0, 1, 2), states)
+
+    def test_one_block_states_and_mixed_lengths(self):
+        rng = np.random.default_rng(9)
+        space = TypeSpace((2, 2, 3, 2))
+        support = (0, 1, 2, 3)
+        stack = random_stack(rng, space, 2, support)
+        states = [
+            [((0, 1, 2, 3), 1)],
+            [((2,), 0), ((0, 3), 1), ((1,), 0)],
+            [((3,), 1), ((0,), 0), ((1,), 1), ((2,), 0)],
+            [((1, 3), 0), ((0, 2), 0)],
+        ]
+        got = block_products(stack, support, states)
+        np.testing.assert_allclose(got, kernel_oracle(stack, space, support, states), rtol=1e-12)
+        # a one-block state is its marginal, unchanged
+        np.testing.assert_array_equal(got[0, 0], stack[1].reshape(-1))
+        sub = block_products(stack, support, [[((0, 2), None)]])[0]
+        np.testing.assert_array_equal(sub, stack.sum(axis=(2, 4)).reshape(2, -1))
+
+    def test_fourteen_sites(self):
+        rng = np.random.default_rng(10)
+        space = TypeSpace((2,) * 14)
+        stack = random_stack(rng, space, 2, space.sites)
+        states = [
+            [(b, None) for b in random_blocks(rng, list(space.sites))] for _ in range(3)
+        ] + [[((0, 13), None), (tuple(range(1, 13)), None)]]
+        got = block_products(stack, space.sites, states)
+        assert got.shape == (4, 2, 2**14)
+        want = kernel_oracle(stack, space, space.sites, states)
+        np.testing.assert_allclose(got, want, rtol=1e-11)
+
+    def test_off_simplex_products_keep_row_mass(self):
+        rng = np.random.default_rng(11)
+        space = TypeSpace((2, 3, 2))
+        stack = random_stack(rng, space, 3, space.sites, mass=(0.2, 5.0))
+        mass = stack.reshape(3, -1).sum(axis=1)
+        states = [[(b, None) for b in random_blocks(rng, [0, 1, 2])] for _ in range(5)]
+        states.append([((0,), None), ((1,), None), ((2,), None)])
+        got = block_products(stack, space.sites, states)
+        np.testing.assert_allclose(got.sum(axis=2), np.tile(mass, (6, 1)), rtol=1e-12)
+        want = kernel_oracle(stack, space, space.sites, states)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("own", [True, False])
+    def test_peak_memory_is_three_outputs(self, own):
+        # few states with many small blocks: the marginals are tiny, and a
+        # table of every marginal broadcast to full size would be far larger
+        # than the products
+        rng = np.random.default_rng(13)
+        space = TypeSpace((4,) * 7)
+        stack = random_stack(rng, space, 2, space.sites)
+        states = [
+            [((s,), None if own else s % 2) for s in space.sites],
+            [((s,), None if own else 1) for s in reversed(space.sites)],
+        ]
+        tracemalloc.start()
+        try:
+            got = block_products(stack, space.sites, states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * got.nbytes + 2**16
+        np.testing.assert_allclose(got, kernel_oracle(stack, space, space.sites, states), rtol=1e-12)
+
+    def test_one_plan_many_stacks(self):
+        rng = np.random.default_rng(12)
+        space = TypeSpace((3, 2, 2))
+        states = [[((0,), 1), ((1, 2), 0)], [((2,), 0), ((0,), 0), ((1,), 1)], [((0, 1, 2), 1)]]
+        plan = BlockPlan(space.sites, states)
+        first = random_stack(rng, space, 2, space.sites)
+        second = random_stack(rng, space, 2, space.sites, mass=(0.5, 2.0))
+        a = plan(first)
+        kept = a.copy()
+        b = plan(second)
+        np.testing.assert_array_equal(a, kept)
+        np.testing.assert_array_equal(a, block_products(first, space.sites, states))
+        np.testing.assert_array_equal(b, block_products(second, space.sites, states))
+        np.testing.assert_allclose(b, kernel_oracle(second, space, space.sites, states), rtol=1e-12)
+        assert not np.allclose(a, b)
 
 
 @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=8, max_size=8))
