@@ -207,7 +207,9 @@ def qld(model: RecombinationModel, start: Partition | None = None) -> QldReport:
         p: _hitting_transform(states, mat, pos, start_idx, eta, peak_set, {p})
         for p in peaks
     }
-    g_all = _hitting_transform(states, mat, pos, start_idx, eta, peak_set, peak_set)
+    # the transform is linear in the boundary values, so the all-peaks value
+    # is the sum of the per-peak ones
+    g_all = sum(g.values())
     if g_all <= 0.0:
         raise ValueError("quasi-limit undefined: no maximal-sojourn state is reachable")
     qlim = {p: g[p] / g_all for p in peaks}

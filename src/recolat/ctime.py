@@ -10,7 +10,7 @@ one-dimensional integral formula evaluated by adaptive Simpson quadrature.
 Splitting and relabelling are separate jump events: fragments of a split
 block keep their parent's label until a relabel event moves them. The
 generator is assembled by `linear.closure`, the routine that also builds the
-discrete matrices T and the label-free block matrix; `build_generator` only
+label-free block matrix behind the discrete T; `build_generator` only
 supplies the jump rates and sets the diagonal to minus the row sums.
 
 The drift's product measures come from the recombinator kernel of

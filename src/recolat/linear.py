@@ -1,37 +1,34 @@
 """Linear embedding of the generation map.
 
 Applying the recombinator of every location-labelled partition to the current
-metapopulation turns the nonlinear generation step into one matrix: the
-vector of recombinator values evolves by a stochastic transition matrix whose
-row for a labelled partition factorises over its blocks, each block
-independently drawing a sub-partition from the induced recombination
-distribution and a source location per new block from the migration row of
-its old label. Iterating is then a matrix power, and the location-alpha
-distribution at time t sits in the component of the single-block state
-labelled alpha.
+metapopulation turns the nonlinear generation step into one stochastic matrix
+T. Iterating is then a matrix power, and the location-alpha distribution at
+time t sits in the component of the single-block state labelled alpha.
 
-One routine, `closure`, builds every matrix of the block process: it visits
-the states reachable from the starts, asks each state once for its weighted
-successors, sorts the states and assembles a dense matrix, row = source. Its
-three callers are `build_linear_system` (the labelled transition matrix T),
-`build_base_matrix` (the label-free block matrix) and
-`ctime.build_generator` (the jump generator Q, which then sets its diagonal
-to minus the row sums). States are sorted by the canonical enumeration order (base
-partition by restricted growth string, then label vector). Because a move
-never coarsens the base partition, and a refinement never comes earlier in
-that order, each matrix is block upper triangular, one block per base
-partition.
+Each block of a state independently draws a sub-partition from the induced
+recombination law, and each new block draws its location from the migration
+row of its parent's label. So T is the label-free block matrix B fanned out
+through the migration matrix M:
+T[(delta, a), (delta', b)] = B[delta, delta'] * prod_j M[a_src(j), b_j],
+where src(j) is the block of delta holding the first site of new block j.
+
+One routine, `closure`, builds B and the jump generator Q of
+`ctime.build_generator`. States are sorted by the canonical enumeration order
+(base partition by restricted growth string, then label vector). A move never
+coarsens the base partition, and a refinement never comes earlier in that
+order, so each matrix is block upper triangular, one block per base partition.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .forward import RecombinationModel, migrecomb_probs
+from .forward import RecombinationModel
 from .measures import Distribution, Metapopulation, block_products
-from .partitions import LabelledPartition, Partition, glued_labelled, whole_labelled
+from .partitions import LabelledPartition, Partition, whole_labelled
 
 __all__ = [
     "LinearSystem",
@@ -72,7 +69,7 @@ def closure(
     key: Callable,
 ) -> tuple[list, np.ndarray]:
     """States reachable from `starts`, sorted by `key`, and their dense
-    matrix with row = source.
+    matrix with row = source: the block matrix B or the jump generator Q.
 
     `successors(state)` yields (target, weight) pairs. It runs once per
     reachable state; weights of a repeated target add up.
@@ -95,30 +92,6 @@ def closure(
         for target, weight in row:
             matrix[i, pos[target]] += weight
     return states, matrix
-
-
-def transition_row(
-    model: RecombinationModel, bdelta: LabelledPartition
-) -> dict[LabelledPartition, float]:
-    """One-step law out of `bdelta`: blocks act independently, so the row is
-    the product of the per-block laws glued together."""
-    partial: list[tuple[tuple, float]] = [((), 1.0)]
-    for block, label in bdelta.items:
-        law = [
-            (piece.items, float(vec[label]))
-            for piece, vec in migrecomb_probs(model, block).items()
-        ]
-        partial = [
-            (items + piece, q)
-            for items, p in partial
-            for piece, w in law
-            if (q := p * w) > 0.0
-        ]
-    row: dict[LabelledPartition, float] = {}
-    for items, p in partial:
-        target = glued_labelled(items)
-        row[target] = row.get(target, 0.0) + p
-    return row
 
 
 def build_recombinator_vector(
@@ -151,12 +124,39 @@ def build_linear_system(
     starts: Sequence[LabelledPartition] | None = None,
 ) -> LinearSystem:
     """Transition matrix T over the labelled partitions reachable from
-    `starts` (default: one single-block state per location)."""
+    `starts` (default: one single-block state per location): each nonzero
+    B[delta, delta'] fills the block of delta's label vectors against
+    delta''s, in product order, and states that no positive entry reaches
+    (M may have zeros) are left out."""
     starts = checked_starts(model, starts)
-    states, matrix = closure(
-        starts, lambda s: transition_row(model, s).items(), LabelledPartition.sort_key
+    bases, base = closure(
+        (s.base for s in starts), lambda d: base_transition_row(model, d).items(), Partition.rgs
     )
-    return LinearSystem(model, starts, states, matrix)
+    num_loc = model.num_locations
+    owners = [d.rgs() for d in bases]
+    at = np.cumsum([0] + [num_loc ** len(d) for d in bases]).tolist()
+    matrix = np.zeros((at[-1], at[-1]))
+    for i, j in zip(*np.nonzero(base)):
+        fan = base[i, j]
+        for axis, block in enumerate(bases[j].blocks, len(bases[i])):
+            shape = [1] * (len(bases[i]) + len(bases[j]))
+            shape[owners[i][block[0]]] = shape[axis] = num_loc
+            fan = fan * model.migration.reshape(shape)
+        matrix[at[i] : at[i + 1], at[j] : at[j + 1]] = fan.reshape(at[i + 1] - at[i], -1)
+
+    states = [
+        LabelledPartition._from_canonical(tuple(zip(d.blocks, labels)))
+        for d in bases
+        for labels in itertools.product(range(num_loc), repeat=len(d))
+    ]
+    reach = np.zeros(len(states), dtype=bool)
+    reach[[states.index(s) for s in starts]] = True
+    while (grown := reach | (reach @ matrix > 0)).sum() > reach.sum():
+        reach = grown
+    if reach.all():
+        return LinearSystem(model, starts, states, matrix)
+    keep = np.flatnonzero(reach)
+    return LinearSystem(model, starts, [states[k] for k in keep], matrix[np.ix_(keep, keep)])
 
 
 def base_transition_row(model: RecombinationModel, delta: Partition) -> dict[Partition, float]:

@@ -17,7 +17,7 @@ state spaces by this order.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 
 def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
@@ -70,12 +70,6 @@ class Partition:
     def __repr__(self) -> str:
         inner = "|".join(",".join(str(s) for s in b) for b in self.blocks)
         return f"Partition[{inner}]"
-
-    def block_of(self, site: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if site in b:
-                return b
-        raise KeyError(f"site {site} not in base set")
 
     def restrict(self, sites: Iterable[int]) -> "Partition":
         """Induced partition on a non-empty subset of the base set."""
@@ -267,27 +261,3 @@ def meet(p: Partition, q: Partition) -> Partition:
             if cut:
                 blocks.append(tuple(sorted(cut)))
     return Partition(blocks)
-
-
-def union_over_blocks(
-    delta: Partition, parts: Mapping[tuple[int, ...], LabelledPartition]
-) -> LabelledPartition:
-    """Glue one labelled partition per block of `delta` into a labelled
-    partition of the whole base set.
-
-    `parts` must assign to every block of `delta` a labelled partition of
-    exactly that block. Together with `LabelledPartition.restrict` this is a
-    bijection between labelled refinements of `delta` and such families.
-    """
-    items: list[tuple[tuple[int, ...], int]] = []
-    for d in delta.blocks:
-        try:
-            piece = parts[d]
-        except KeyError:
-            raise ValueError(f"no labelled partition supplied for block {d}")
-        if piece.base_set != d:
-            raise ValueError(f"labelled partition for block {d} covers {piece.base_set}")
-        items.extend(piece.items)
-    if len(parts) != len(delta.blocks):
-        raise ValueError("parts has entries for blocks outside the partition")
-    return LabelledPartition(items)

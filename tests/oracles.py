@@ -138,3 +138,69 @@ def loop_block_products(stack, support, states):
         out.append(prod)
     rows = max(p.shape[0] for p in out)
     return np.stack([np.broadcast_to(p, (rows,) + p.shape[1:]).reshape(rows, -1) for p in out])
+
+
+# ------------------------------------------------ labelled transition rows
+
+def _canonical_items(pairs):
+    """(block, label) pairs as sorted block tuples ordered by smallest site."""
+    return tuple(sorted(((tuple(sorted(b)), l) for b, l in pairs), key=lambda it: it[0][0]))
+
+
+def brute_labelled_row(model, items):
+    """One-step law out of the labelled partition `items` ((block, label)
+    pairs), from the product formula over every partition of its sites: a
+    labelled refinement (eps, b) gets, per old block d, the total weight of
+    the support partitions that cut d into eps's blocks inside d, times one
+    factor M[label of d, b_j] per block j of eps inside d. Keys are
+    canonical item tuples; zero entries are left out."""
+    sites = sorted(s for b, _ in items for s in b)
+    support = [(frozenset(frozenset(b) for b in part.blocks), w) for part, w in model.recomb.items()]
+    m = np.asarray(model.migration)
+    row = {}
+    for eps in brute_partitions(sites):
+        weight, parent = 1.0, {}
+        for d, label in items:
+            d = frozenset(d)
+            inside = {b for b in eps if b <= d}
+            if sum(len(b) for b in inside) != len(d):
+                weight = 0.0  # eps does not refine the old partition
+                break
+            cut = sum(w for part, w in support if {b & d for b in part if b & d} == inside)
+            weight *= cut
+            parent.update((b, label) for b in inside)
+        if weight == 0.0:
+            continue
+        blocks = sorted(eps, key=min)
+        for labels in itertools.product(range(m.shape[0]), repeat=len(blocks)):
+            p = weight
+            for b, l in zip(blocks, labels):
+                p *= m[parent[b], l]
+            if p > 0.0:
+                key = _canonical_items(zip(blocks, labels))
+                row[key] = row.get(key, 0.0) + p
+    return row
+
+
+def brute_labelled_system(model, starts):
+    """States reachable from `starts` (item tuples) through positive
+    entries of `brute_labelled_row`, in canonical order (restricted growth
+    string of the blocks, then labels), and their dense matrix."""
+    rows, frontier = {}, [_canonical_items(s) for s in starts]
+    while frontier:
+        state = frontier.pop()
+        if state not in rows:
+            rows[state] = brute_labelled_row(model, state)
+            frontier.extend(rows[state])
+
+    def order(state):
+        owner = {s: i for i, (b, _) in enumerate(state) for s in b}
+        return tuple(owner[s] for s in sorted(owner)), tuple(l for _, l in state)
+
+    states = sorted(rows, key=order)
+    pos = {s: i for i, s in enumerate(states)}
+    matrix = np.zeros((len(states), len(states)))
+    for state, row in rows.items():
+        for target, p in row.items():
+            matrix[pos[state], pos[target]] = p
+    return states, matrix

@@ -13,7 +13,6 @@ from recolat.linear import (
     default_starts,
     matrix_power,
     solve_linear,
-    transition_row,
 )
 from recolat.measures import TypeSpace
 from recolat.partitions import (
@@ -26,6 +25,7 @@ from recolat.partitions import (
 )
 
 import factories
+import oracles
 
 RNG = np.random.default_rng(99)
 # the base-matrix and generator cases of the structure test draw from their
@@ -247,6 +247,25 @@ class TestSolveLinear:
         for alpha in range(2):
             np.testing.assert_array_equal(a[alpha].weights, b[alpha].weights)
 
+    def test_calls_power_and_vector_once(self, monkeypatch):
+        # profilers and the benchmark tracer time these stages by replacing
+        # the module attributes, so solve_linear must call them there
+        import recolat.linear
+
+        calls = []
+        for name in ("matrix_power", "build_recombinator_vector"):
+            original = getattr(recolat.linear, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(recolat.linear, name, counted)
+        rng = np.random.default_rng(5)
+        model = factories.random_model(rng, 3, 2)
+        solve_linear(factories.random_metapop(rng, model.space, 2), model, 6)
+        assert sorted(calls) == ["build_recombinator_vector", "matrix_power"]
+
 
 class TestMatrixPower:
     def test_powering_paths_agree(self):
@@ -306,10 +325,51 @@ class TestTrustedStates:
         ct = CtModel(space, {p: 1.0 + RNG.random() for p in parts if len(p) > 1}, gen)
         systems = [build_linear_system(model), build_generator(ct)]
         states = [s for sys in systems for s in sys.states]
-        targets = [t for s in systems[0].states for t in transition_row(model, s)]
         assert any(a[-1] > b[0] for s in states for (a, _), (b, _) in zip(s, s.items[1:]))
-        for s in states + targets:
+        for s in states:
             valid = LabelledPartition(s.items)
             assert s == valid and hash(s) == hash(valid)
         for sys in systems:
             assert len({LabelledPartition(s.items) for s in sys.states}) == len(sys.states)
+
+
+class TestAgainstBruteRows:
+    """T against a closure of the brute-force product-formula rows: the same
+    states in the same order, and the same entries."""
+
+    ORACLE_RNG = np.random.default_rng(97)
+    SPARSE_MIGRATION = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.2, 0.8]])
+
+    @staticmethod
+    def check(model, starts=None):
+        sys = build_linear_system(model, starts)
+        states, matrix = oracles.brute_labelled_system(model, [s.items for s in sys.starts])
+        assert [s.items for s in sys.states] == states
+        np.testing.assert_allclose(sys.matrix, matrix, rtol=0, atol=1e-15)
+        return sys
+
+    @pytest.mark.parametrize("n,loc", [(n, loc) for n in (1, 2, 3, 4) for loc in (1, 2, 3)])
+    def test_default_last_location_and_two_block_starts(self, n, loc):
+        model = factories.random_model(self.ORACLE_RNG, n, loc)
+        sites = model.sites
+        self.check(model)
+        self.check(model, [whole_labelled(sites, loc - 1)])
+        if n > 1:
+            self.check(model, [LabelledPartition([(sites[:1], loc - 1), (sites[1:], 0)])])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_migration_with_zeros_reaches_a_strict_subset(self, n):
+        # labels only move down, 2 -> 1 -> 0, so a start at 0 or 1 never
+        # reaches label 2
+        base = factories.random_model(self.ORACLE_RNG, n, 3)
+        model = RecombinationModel(base.space, base.recomb, self.SPARSE_MIGRATION)
+        sites = model.sites
+        for label in (0, 1):
+            sys = self.check(model, [whole_labelled(sites, label)])
+            assert all(max(s.labels) <= label for s in sys.states)
+            assert len({s.base for s in sys.states}) > 1
+        self.check(model, [whole_labelled(sites, 2)])
+        self.check(model)
+        two = LabelledPartition([(sites[:1], 1), (sites[1:], 0)])
+        sys = self.check(model, [two])
+        assert all(2 not in s.labels for s in sys.states)

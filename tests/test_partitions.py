@@ -11,8 +11,8 @@ from recolat.partitions import (
     enumerate_partitions,
     finest,
     is_refinement,
+    glued_labelled,
     meet,
-    union_over_blocks,
     whole_labelled,
 )
 
@@ -229,12 +229,22 @@ class TestInduced:
 
 
 class TestUnionOverBlocks:
+    """Gluing one labelled partition per block of delta is a bijection onto
+    the labelled refinements of delta, with `restrict` as its inverse."""
+
     def exhaustive_family(self, delta, locations):
         per_block = [
             enumerate_labelled_partitions(d, locations) for d in delta.blocks
         ]
         for combo in itertools.product(*per_block):
             yield dict(zip(delta.blocks, combo))
+
+    @staticmethod
+    def glued(family):
+        items = [it for piece in family.values() for it in piece.items]
+        glued = glued_labelled(items)
+        assert glued == LabelledPartition(items)
+        return glued
 
     @pytest.mark.parametrize("m,locations", [(2, 2), (3, 2), (4, 2), (4, 3)])
     def test_bijection_with_labelled_refinements(self, m, locations):
@@ -246,7 +256,7 @@ class TestUnionOverBlocks:
             built = set()
             count = 0
             for family in self.exhaustive_family(delta, locations):
-                glued = union_over_blocks(delta, family)
+                glued = self.glued(family)
                 built.add(glued)
                 count += 1
                 # round trip back to the family
@@ -259,18 +269,7 @@ class TestUnionOverBlocks:
         delta = Partition([[0, 1], [2, 3]])
         beps = LabelledPartition([((0,), 1), ((1,), 0), ((2, 3), 1)])
         family = {d: beps.restrict(d) for d in delta.blocks}
-        assert union_over_blocks(delta, family) == beps
-
-    def test_validates_family(self):
-        delta = Partition([[0, 1], [2]])
-        with pytest.raises(ValueError, match="no labelled partition"):
-            union_over_blocks(delta, {(0, 1): whole_labelled([0, 1], 0)})
-        bad = {
-            (0, 1): whole_labelled([0, 1], 0),
-            (2,): whole_labelled([3], 0),
-        }
-        with pytest.raises(ValueError, match="covers"):
-            union_over_blocks(delta, bad)
+        assert self.glued(family) == beps
 
 
 @given(random_partition_strategy())
