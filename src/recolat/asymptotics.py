@@ -13,6 +13,7 @@ order. Labelled versions attach one stationary location weight per block.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,6 @@ from .partitions import (
     meet,
     whole_labelled,
 )
-import itertools
 
 _PEAK_RTOL = 1e-12  # sojourn probabilities within this of the max count as maximal
 
@@ -150,7 +150,7 @@ class QldReport:
     location_weights: np.ndarray
 
 
-def _hitting_transform(states, mat, pos, start_idx, eta, peak_set, boundary):
+def _hitting_transform(states, mat, start_idx, eta, peak_set, boundary):
     """Expected eta^(-hitting time of `boundary`), restricted to hitting it,
     solved backwards along the refinement order.
 
@@ -204,7 +204,7 @@ def qld(model: RecombinationModel, start: Partition | None = None) -> QldReport:
 
     start_idx = pos[start]
     g = {
-        p: _hitting_transform(states, mat, pos, start_idx, eta, peak_set, {p})
+        p: _hitting_transform(states, mat, start_idx, eta, peak_set, {p})
         for p in peaks
     }
     # the transform is linear in the boundary values, so the all-peaks value

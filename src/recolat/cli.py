@@ -37,16 +37,17 @@ from .serialize import (
     sequence_label,
 )
 
-COMMANDS = (
-    "iterate",
-    "linear",
-    "simulate",
-    "limit",
-    "qld",
-    "ct-solve",
-    "ct-integrate",
-    "export-T",
-)
+# command -> (mode it runs in, help line)
+COMMANDS = {
+    "iterate": ("discrete", "forward iteration of the nonlinear recursion"),
+    "linear": ("discrete", "exact solution through the labelled-partition matrix"),
+    "simulate": ("discrete", "Monte Carlo duality estimate with standard errors"),
+    "limit": ("discrete", "the time-infinity metapopulation"),
+    "qld": ("discrete", "quasi-limiting behaviour of the block process"),
+    "ct-solve": ("continuous", "continuous time via the jump-process exponential"),
+    "ct-integrate": ("continuous", "continuous time via fixed-step RK4"),
+    "export-T": ("discrete", "emit the transition matrix"),
+}
 
 
 class ConfigError(ValueError):
@@ -331,29 +332,25 @@ def _need(config: RunConfig, field: str):
     return value
 
 
-def _require_mode(config: RunConfig, command: str, mode: str):
+def run(command: str, config: RunConfig, matrix_kind: str = "T"):
+    """Dispatch one command, a key of COMMANDS; returns (ResultTable, json
+    payload)."""
+    mode, _ = COMMANDS[command]
     if config.mode != mode:
         raise ConfigError("mode", f"command {command!r} requires mode={mode!r}")
-
-
-def run(command: str, config: RunConfig, matrix_kind: str = "T"):
-    """Dispatch one command; returns (ResultTable, json payload)."""
     names = config.location_names
 
     if command == "iterate":
-        _require_mode(config, command, "discrete")
         final = iterate(config.initial, config.model, _need(config, "t"))[-1]
         table = ResultTable(command, _metapop_rows(final, names, "mu"))
         return table, table.to_payload()
 
     if command == "linear":
-        _require_mode(config, command, "discrete")
         final = solve_linear(config.initial, config.model, _need(config, "t"))
         table = ResultTable(command, _metapop_rows(final, names, "mu"))
         return table, table.to_payload()
 
     if command == "simulate":
-        _require_mode(config, command, "discrete")
         t = _need(config, "t")
         seed = _need(config, "seed")
         replicates = _need(config, "replicates")
@@ -375,13 +372,11 @@ def run(command: str, config: RunConfig, matrix_kind: str = "T"):
         return table, table.to_payload()
 
     if command == "limit":
-        _require_mode(config, command, "discrete")
         mu_inf = limit_metapopulation(config.initial, config.model)
         table = ResultTable(command, _metapop_rows(mu_inf, names, "mu_inf"))
         return table, table.to_payload()
 
     if command == "qld":
-        _require_mode(config, command, "discrete")
         report = qld(config.model)
         payload = qld_report_to_doc(report, names)
         rows = [("eta", "", payload["eta"], None)]
@@ -402,45 +397,40 @@ def run(command: str, config: RunConfig, matrix_kind: str = "T"):
         return ResultTable(command, rows), payload
 
     if command == "ct-solve":
-        _require_mode(config, command, "continuous")
         final = ct_solve_dual(config.initial, config.model, _need(config, "t"))
         table = ResultTable(command, _metapop_rows(final, names, "omega"))
         return table, table.to_payload()
 
     if command == "ct-integrate":
-        _require_mode(config, command, "continuous")
         traj = integrate(config.initial, config.model, _need(config, "t"), _need(config, "dt"))
         rows = _metapop_rows(traj.final, names, "omega")
         rows.append(("max_drift", "", traj.max_drift, None))
         table = ResultTable(command, rows)
         return table, table.to_payload()
 
-    if command == "export-T":
-        _require_mode(config, command, "discrete")
-        if matrix_kind == "T":
-            system = build_linear_system(config.model)
-            labels = [labelled_str(s, names) for s in system.states]
-            docs = [labelled_to_doc(s, names) for s in system.states]
-            matrix = system.matrix
-        else:
-            states, matrix = build_base_matrix(config.model)
-            labels = [partition_str(p) for p in states]
-            docs = [partition_to_doc(p) for p in states]
-        rows = [
-            (matrix_kind, f"{labels[i]} -> {labels[j]}", float(matrix[i, j]), None)
-            for i in range(len(labels))
-            for j in range(len(labels))
-            if matrix[i, j] != 0.0
-        ]
-        payload = {
-            "command": command,
-            "matrix_kind": matrix_kind,
-            "states": docs,
-            "matrix": [[float(x) for x in row] for row in matrix],
-        }
-        return ResultTable(command, rows), payload
-
-    raise ConfigError("command", f"unknown command {command!r}")
+    # export-T
+    if matrix_kind == "T":
+        system = build_linear_system(config.model)
+        labels = [labelled_str(s, names) for s in system.states]
+        docs = [labelled_to_doc(s, names) for s in system.states]
+        matrix = system.matrix
+    else:
+        states, matrix = build_base_matrix(config.model)
+        labels = [partition_str(p) for p in states]
+        docs = [partition_to_doc(p) for p in states]
+    rows = [
+        (matrix_kind, f"{labels[i]} -> {labels[j]}", float(matrix[i, j]), None)
+        for i in range(len(labels))
+        for j in range(len(labels))
+        if matrix[i, j] != 0.0
+    ]
+    payload = {
+        "command": command,
+        "matrix_kind": matrix_kind,
+        "states": docs,
+        "matrix": [[float(x) for x in row] for row in matrix],
+    }
+    return ResultTable(command, rows), payload
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -459,18 +449,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--t", type=float, help="override the config horizon")
     common.add_argument("--seed", type=int, help="override the config seed")
     common.add_argument("--replicates", type=int, help="override the config replicates")
-    helps = {
-        "iterate": "forward iteration of the nonlinear recursion",
-        "linear": "exact solution through the labelled-partition matrix",
-        "simulate": "Monte Carlo duality estimate with standard errors",
-        "limit": "the time-infinity metapopulation",
-        "qld": "quasi-limiting behaviour of the block process",
-        "ct-solve": "continuous time via the jump-process exponential",
-        "ct-integrate": "continuous time via fixed-step RK4",
-        "export-T": "emit the transition matrix",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, parents=[common], help=helps[name])
+    for name, (_, help_line) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_line)
         if name == "ct-integrate":
             p.add_argument("--dt", type=float, help="override the config step size")
         if name == "export-T":

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
+from .forward import induced_law
 from .linear import LinearSystem, build_recombinator_vector, checked_starts, closure
 from .lpp import replicate_rng
 from .measures import BlockPlan, Metapopulation, TypeSpace
@@ -101,16 +102,7 @@ class CtModel:
     def marginal_rates(self, sites) -> dict[Partition, float]:
         """Rates of the induced splitting events on a site subset: total rate
         of full-set partitions sharing each restriction."""
-        key = tuple(sorted(sites))
-        if not set(key) <= set(self.sites):
-            raise ValueError(f"sites {key} outside the model")
-        cached = self._marginal_cache.get(key)
-        if cached is None:
-            cached = self._marginal_cache[key] = {}
-            for part, rho in self.rates.items():
-                sub = part.restrict(key)
-                cached[sub] = cached.get(sub, 0.0) + rho
-        return cached
+        return induced_law(self, self.rates, sites)
 
 
 def ct_rhs(state, model: CtModel) -> np.ndarray:

@@ -8,23 +8,23 @@ the offspring draws, for each block of a partition sampled from the
 recombination distribution, the letters of that block jointly from an
 independent parent.
 
-The same update can be written as a single sum over location-labelled
-partitions: the block structure is drawn from the recombination
-distribution, and each block independently picks the location its parent
-migrated from. `marginal_step` implements that form for an arbitrary site
-subset; on the full site set it reproduces `step` and serves as the
-second, independently coded route through a generation.
+Marginalising commutes with the dynamics: the type distribution on a site
+subset U evolves by the same migration-recombination recursion under the
+induced recombination law r_U, each partition restricted to U with the
+weights of equal restrictions summed (M. Baake & E. Baake, Canad. J. Math.
+55, 2003). `marginal_step` is that induced generation on the support of its
+input; `induced_law` computes r_U, and the rates a continuous-time model
+induces, through one cached routine.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .measures import BlockPlan, Metapopulation, TypeSpace, block_products
-from .partitions import LabelledPartition, Partition
+from .partitions import Partition
 
 MASS_ATOL = 1e-12
 MIGRATION_ATOL = 1e-9  # matches the constancy tolerance of backward_from_forward
@@ -48,9 +48,7 @@ def checked_migration(migration) -> np.ndarray:
 class RecombinationModel:
     """Type space, recombination distribution and backward migration matrix."""
 
-    __slots__ = (
-        "space", "recomb", "migration", "_pulls", "_marginal_cache", "_law_cache", "__weakref__"
-    )
+    __slots__ = ("space", "recomb", "migration", "_pulls", "_marginal_cache", "__weakref__")
 
     def __init__(
         self,
@@ -85,7 +83,6 @@ class RecombinationModel:
         plan = BlockPlan(space.sites, [[(b, None) for b in part.blocks] for part in clean])
         object.__setattr__(self, "_pulls", (plan, np.array(list(clean.values()))))
         object.__setattr__(self, "_marginal_cache", {})
-        object.__setattr__(self, "_law_cache", {})  # filled by migrecomb_probs
 
     def __setattr__(self, name, value):
         raise AttributeError("RecombinationModel is immutable")
@@ -111,19 +108,31 @@ class RecombinationModel:
     def marginal_recombination(self, sites: Iterable[int]) -> dict[Partition, float]:
         """Recombination distribution induced on a site subset: each support
         partition is restricted to the subset and the weights accumulated."""
-        key = tuple(sorted(set(sites)))
-        if not key:
-            raise ValueError("empty site set")
-        if not set(key) <= set(self.sites):
-            raise ValueError(f"sites {key} not within the model's {self.num_sites} sites")
-        cached = self._marginal_cache.get(key)
-        if cached is None:
-            cached = {}
-            for part, w in self.recomb.items():
-                sub = part.restrict(key)
-                cached[sub] = cached.get(sub, 0.0) + w
-            self._marginal_cache[key] = cached
-        return dict(cached)
+        return induced_law(self, self.recomb, sites)
+
+
+def induced_law(
+    model, weights: Mapping[Partition, float], sites: Iterable[int]
+) -> dict[Partition, float]:
+    """Weights of full-set partitions restricted to a site subset, summed
+    over partitions with equal restrictions: the recombination law or the
+    split rates a model induces on the subset.
+
+    `model` supplies the site set and a `_marginal_cache` dict, keyed by the
+    sorted subset, that holds the result for `weights`; callers get a copy.
+    """
+    key = tuple(sorted(set(sites)))
+    if not key:
+        raise ValueError("empty site set")
+    if not set(key) <= set(model.sites):
+        raise ValueError(f"sites {key} not within the model's {model.num_sites} sites")
+    cached = model._marginal_cache.get(key)
+    if cached is None:
+        cached = model._marginal_cache[key] = {}
+        for part, w in weights.items():
+            sub = part.restrict(key)
+            cached[sub] = cached.get(sub, 0.0) + w
+    return dict(cached)
 
 
 def backward_from_forward(forward, sizes) -> np.ndarray:
@@ -178,73 +187,27 @@ def step(mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
     return recombine(migrate(mu, model.migration), model)
 
 
-def iterate(
-    mu0: Metapopulation,
-    model: RecombinationModel,
-    t: int,
-    *,
-    include_half_steps: bool = False,
-):
-    """Trajectory [mu_0, ..., mu_t].
-
-    With `include_half_steps` the post-migration states are interleaved and
-    the trajectory is returned as (time, state) pairs at 0, 1/2, 1, 3/2, ...
-    """
+def iterate(mu0: Metapopulation, model: RecombinationModel, t: int) -> list[Metapopulation]:
+    """Trajectory [mu_0, ..., mu_t]."""
     if t < 0:
         raise ValueError("negative horizon")
-    if not include_half_steps:
-        out = [mu0]
-        for _ in range(t):
-            out.append(step(out[-1], model))
-        return out
-    pairs = [(0.0, mu0)]
-    current = mu0
-    for k in range(t):
-        half = migrate(current, model.migration)
-        current = recombine(half, model)
-        pairs.append((k + 0.5, half))
-        pairs.append((k + 1.0, current))
-    return pairs
-
-
-def migrecomb_probs(
-    model: RecombinationModel, sites: Iterable[int]
-) -> dict[LabelledPartition, np.ndarray]:
-    """Positive entries of the one-generation labelled-partition law on a
-    site subset: induced recombination weight times one migration factor per
-    block's label. Each entry is a read-only vector over the offspring
-    location; an absent labelled partition has probability 0."""
-    key = tuple(sorted(set(sites)))
-    law = model._law_cache.get(key)
-    if law is None:
-        law = {}
-        m = model.migration
-        for part, w in model.marginal_recombination(key).items():
-            for labels in itertools.product(range(model.num_locations), repeat=len(part)):
-                vec = np.full(model.num_locations, w)
-                for lab in labels:
-                    vec = vec * m[:, lab]
-                if vec.max() > 0.0:
-                    vec.flags.writeable = False
-                    law[LabelledPartition(zip(part.blocks, labels))] = vec
-        totals = np.sum(list(law.values()), axis=0)
-        if np.abs(totals - 1.0).max() > MASS_ATOL:
-            raise ValueError(f"labelled-partition probabilities sum to {totals}, not 1")
-        model._law_cache[key] = law
-    return dict(law)
+    out = [mu0]
+    for _ in range(t):
+        out.append(step(out[-1], model))
+    return out
 
 
 def marginal_step(mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
-    """One generation of the induced dynamics on the support of `mu`, computed
-    as the probability-weighted sum of recombinators over labelled partitions.
+    """One generation of the induced dynamics on the support of `mu`: migrate,
+    then recombine under the recombination law induced on the support.
 
-    On the full site set this equals `step` and serves as an independent
-    route through a generation; on a single site it reduces to pure
-    migration.
+    On the full site set this equals `step`; on a single site it reduces to
+    pure migration.
     """
-    probs = migrecomb_probs(model, mu.support)
-    prods = block_products(mu.as_array(), mu.support, [s.items for s in probs])
-    vecs = np.stack(list(probs.values()))
-    return Metapopulation.from_stack(
-        mu.space, mu.support, vecs.T @ prods[:, 0], atol=1e-9
+    law = model.marginal_recombination(mu.support)
+    moved = migrate(mu, model.migration)
+    prods = block_products(
+        moved.as_array(), mu.support, [[(b, None) for b in part.blocks] for part in law]
     )
+    acc = np.tensordot(np.fromiter(law.values(), dtype=float), prods, axes=1)
+    return Metapopulation.from_stack(mu.space, mu.support, acc, atol=1e-9)

@@ -185,11 +185,9 @@ def _final_codes(
     """
     n = model.num_sites
     sites = np.arange(n)
-    cum_r = np.cumsum(np.fromiter(model.recomb.values(), dtype=float))
-    cum_r[-1] = 1.0
+    _, cum_r, cum_m = _sampling_tables(model)
+    cum_r, cum_m = np.array(cum_r), np.array(cum_m)
     pieces = np.array([p.rgs() for p in model.recomb])  # (partitions, n)
-    cum_m = np.cumsum(model.migration, axis=1)
-    cum_m[:, -1] = 1.0
     # rows as big-endian uint16 bytes, whose memcmp order is the rows'
     # lexicographic order (site and label numbers fit in 16 bits)
     row_bytes = np.dtype((np.void, 2 * n * 2))

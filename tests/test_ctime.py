@@ -74,6 +74,12 @@ class TestCtModel:
         single = model.marginal_rates((2,))
         assert abs(single[Partition([(2,)])] - 1.2) < 1e-15
 
+    def test_marginal_rates_hand_out_a_copy(self):
+        # clearing a returned dict once emptied the cache the generator reads
+        model = factories.random_ct_model(np.random.default_rng(1), 3, 2)
+        model.marginal_rates(model.sites).clear()
+        assert len(build_generator(model).states) == 22
+
 
 def _brute_rhs(omega, model):
     """Independent right-hand side on Metapopulation objects."""

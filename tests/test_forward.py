@@ -9,12 +9,11 @@ from recolat.forward import (
     iterate,
     marginal_step,
     migrate,
-    migrecomb_probs,
     recombine,
     step,
 )
 from recolat.measures import Metapopulation, TypeSpace
-from recolat.partitions import LabelledPartition, Partition
+from recolat.partitions import Partition
 
 import factories
 
@@ -168,6 +167,12 @@ class TestStep:
                     a[alpha].weights, b[alpha].weights, atol=1e-12
                 )
 
+    def test_is_recombine_after_migrate(self):
+        model = factories.random_model(RNG, 2, 2)
+        mu = factories.random_metapop(RNG, model.space, 2)
+        want = recombine(migrate(mu, model.migration), model)
+        np.testing.assert_allclose(step(mu, model).stack(), want.stack())
+
     def test_single_site_reduces_to_migration(self):
         model = factories.random_model(RNG, 1, 3)
         mu = factories.random_metapop(RNG, model.space, 3)
@@ -193,19 +198,6 @@ class TestIterate:
         again = iterate(mu, model, 2)
         np.testing.assert_allclose(traj[2][1].weights, again[2][1].weights)
 
-    def test_half_steps_interleaved(self):
-        model = factories.random_model(RNG, 2, 2)
-        mu = factories.random_metapop(RNG, model.space, 2)
-        pairs = iterate(mu, model, 3, include_half_steps=True)
-        times = [t for t, _ in pairs]
-        assert times == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-        half = pairs[1][1]
-        want = migrate(mu, model.migration)
-        np.testing.assert_allclose(half[1].weights, want[1].weights)
-        full = pairs[2][1]
-        want2 = step(mu, model)
-        np.testing.assert_allclose(full[0].weights, want2[0].weights)
-
     def test_negative_horizon_rejected(self):
         model = factories.random_model(RNG, 2, 2)
         mu = factories.random_metapop(RNG, model.space, 2)
@@ -213,68 +205,20 @@ class TestIterate:
             iterate(mu, model, -1)
 
 
-def _prob(probs, location, bdelta):
-    vec = probs.get(bdelta)
-    return 0.0 if vec is None else float(vec[location])
-
-
-class TestMigRecombProbs:
-    def test_rows_normalised(self):
-        model = factories.random_model(RNG, 3, 3)
-        for sub in [(0,), (0, 2), (0, 1, 2)]:
-            probs = migrecomb_probs(model, sub)
-            total = np.sum(np.stack(list(probs.values())), axis=0)
-            np.testing.assert_allclose(total, 1.0, atol=1e-12)
-
-    def test_single_site_entries_are_migration_rows(self):
-        model = factories.random_model(RNG, 3, 2)
-        probs = migrecomb_probs(model, (1,))
-        for lab in range(2):
-            bd = LabelledPartition([((1,), lab)])
-            for alpha in range(2):
-                assert _prob(probs, alpha, bd) == pytest.approx(
-                    model.migration[alpha, lab]
-                )
-
-    def test_explicit_value(self):
-        model = factories.nonmonotone_sojourn_model()
-        probs = migrecomb_probs(model, (0, 1, 2, 3))
-        bd = LabelledPartition([((0, 1), 0), ((2, 3), 1)])
-        for alpha in range(2):
-            want = 0.1 * model.migration[alpha, 0] * model.migration[alpha, 1]
-            assert _prob(probs, alpha, bd) == pytest.approx(want)
-
-    def test_absent_entry_is_zero(self):
-        model = factories.two_site_model(RNG, 2)
-        probs = migrecomb_probs(model, (0, 1))
-        assert _prob(probs, 0, LabelledPartition([((0, 1), 1)])) > 0
-        # labels outside the model never appear among the entries
-        assert _prob(probs, 0, LabelledPartition([((0, 1), 7)])) == 0.0
-
-    def test_cached_law_is_handed_out_as_read_only_copies(self):
-        model = factories.random_model(RNG, 3, 2)
-        first = migrecomb_probs(model, (0, 2))
-        first.clear()
-        again = migrecomb_probs(model, (2, 0))
-        assert again
-        for vec in again.values():
-            with pytest.raises(ValueError):
-                vec[0] = 0.5
-
-
 class TestMarginalConsistency:
     def test_marginal_step_commutes_with_marginalisation(self):
-        model = factories.random_model(RNG, 3, 2)
-        mu = factories.random_metapop(RNG, model.space, 2)
-        stepped = step(mu, model)
-        for r in range(1, 4):
-            for sub in itertools.combinations(range(3), r):
-                via_full = stepped.marginalise(sub)
-                via_marg = marginal_step(mu.marginalise(sub), model)
-                for a in range(2):
-                    np.testing.assert_allclose(
-                        via_full[a].weights, via_marg[a].weights, atol=1e-12
-                    )
+        for n, loc in [(1, 2), (2, 1), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]:
+            model = factories.random_model(RNG, n, loc)
+            mu = factories.random_metapop(RNG, model.space, loc)
+            stepped = step(mu, model)
+            for r in range(1, n + 1):
+                for sub in itertools.combinations(range(n), r):
+                    via_full = stepped.marginalise(sub)
+                    via_marg = marginal_step(mu.marginalise(sub), model)
+                    for a in range(loc):
+                        np.testing.assert_allclose(
+                            via_full[a].weights, via_marg[a].weights, atol=1e-12
+                        )
 
     def test_single_site_marginal_is_pure_migration(self):
         model = factories.random_model(RNG, 3, 3)

@@ -187,6 +187,15 @@ class TestKnownSystems:
         assert all(len(s) == 1 for s in sys.states)
         np.testing.assert_allclose(sys.matrix, model.migration, atol=1e-15)
 
+    def test_explicit_value(self):
+        model = factories.nonmonotone_sojourn_model()
+        sys = build_linear_system(model)
+        paired = sys.pos[LabelledPartition([((0, 1), 0), ((2, 3), 1)])]
+        for alpha in range(2):
+            want = 0.1 * model.migration[alpha, 0] * model.migration[alpha, 1]
+            whole = sys.pos[whole_labelled(model.sites, alpha)]
+            assert sys.matrix[whole, paired] == pytest.approx(want)
+
     def test_nonmonotone_sojourn_model_sojourn_entries_exact(self):
         model = factories.nonmonotone_sojourn_model()
         states, mat = build_base_matrix(model)
