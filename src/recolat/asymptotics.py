@@ -108,6 +108,17 @@ def limit_metapopulation(mu0: Metapopulation, model: RecombinationModel) -> Meta
     return Metapopulation([limit] * model.num_locations)
 
 
+def _transient(states, matrix, start, num_sites):
+    """The closure restricted to the states not yet fully split, with the
+    unit vector of `start` over them (zero when `start` is fully split)."""
+    keep = [i for i, s in enumerate(states) if len(s) < num_sites]
+    kept = [states[i] for i in keep]
+    v = np.zeros(len(keep))
+    if start in kept:
+        v[kept.index(start)] = 1.0
+    return kept, matrix[np.ix_(keep, keep)], v
+
+
 def absorption_tail(
     model: RecombinationModel, t_max: int, start: Partition | None = None
 ) -> np.ndarray:
@@ -121,14 +132,7 @@ def absorption_tail(
         raise ValueError("negative horizon")
     if start is None:
         start = coarsest(model.sites)
-    states, mat = build_base_matrix(model, start)
-    fin = finest(model.sites)
-    keep = [i for i, p in enumerate(states) if p != fin]
-    sub = mat[np.ix_(keep, keep)]
-    v = np.zeros(len(keep))
-    for i, j in enumerate(keep):
-        if states[j] == start:
-            v[i] = 1.0
+    _, sub, v = _transient(*build_base_matrix(model, start), start, model.num_sites)
     out = np.empty(t_max + 1)
     for t in range(t_max + 1):
         out[t] = v.sum()
@@ -150,32 +154,28 @@ class QldReport:
     location_weights: np.ndarray
 
 
-def _hitting_transform(states, mat, start_idx, eta, peak_set, boundary):
-    """Expected eta^(-hitting time of `boundary`), restricted to hitting it,
-    solved backwards along the refinement order.
+def _hitting_transform(states, mat, eta, peaks):
+    """Expected eta^(-hitting time of each peak), restricted to hitting it,
+    from every state: one column per peak, solved backwards along the
+    refinement order.
 
-    States in `boundary` get value 1. For a peak state outside the boundary
-    the pivot vanishes; its value is 0 unless mass flows from it to the
-    boundary, which cannot happen when peaks only stay or absorb.
+    A peak has value 1 in its own column. Its other entries would divide by
+    its vanished pivot; they are 0 unless mass flows from it to a state
+    that reaches a peak, which cannot happen when peaks only stay or absorb.
     """
-    h = np.zeros(len(states))
+    column = {p: k for k, p in enumerate(peaks)}
+    h = np.zeros((len(states), len(peaks)))
     for i in reversed(range(len(states))):
-        if states[i] in boundary:
-            h[i] = 1.0
-            continue
-        row = mat[i]
-        rhs = float(row @ h) - row[i] * h[i]
-        rhs /= eta
-        pivot = 1.0 - row[i] / eta
-        if states[i] in peak_set:
-            if abs(rhs) > 1e-300:
+        rhs = mat[i] @ h / eta
+        if states[i] in column:
+            if np.abs(rhs).max() > 1e-300:
                 raise ValueError(
                     "divergent expectation: a maximal-sojourn state feeds the target"
                 )
-            h[i] = 0.0
+            h[i, column[states[i]]] = 1.0
         else:
-            h[i] = rhs / pivot
-    return h[start_idx]
+            h[i] = rhs / (1.0 - mat[i, i] / eta)
+    return h
 
 
 def qld(model: RecombinationModel, start: Partition | None = None) -> QldReport:
@@ -189,24 +189,16 @@ def qld(model: RecombinationModel, start: Partition | None = None) -> QldReport:
     """
     if start is None:
         start = coarsest(model.sites)
-    states, mat = build_base_matrix(model, start)
-    pos = {p: i for i, p in enumerate(states)}
-    fin = finest(model.sites)
-    transient = [p for p in states if p != fin]
+    transient, sub, v = _transient(*build_base_matrix(model, start), start, model.num_sites)
     if not transient:
         raise ValueError("quasi-limit undefined: the start state is already fully split")
-    diag = {p: mat[pos[p], pos[p]] for p in transient}
-    eta = max(diag.values())
+    diag = sub.diagonal()
+    eta = diag.max()
     if eta <= 0.0:
         raise ValueError("quasi-limit undefined: every step fully splits the state")
-    peaks = [p for p in transient if diag[p] >= eta * (1.0 - _PEAK_RTOL)]
-    peak_set = set(peaks)
+    peaks = [p for p, d in zip(transient, diag) if d >= eta * (1.0 - _PEAK_RTOL)]
 
-    start_idx = pos[start]
-    g = {
-        p: _hitting_transform(states, mat, start_idx, eta, peak_set, {p})
-        for p in peaks
-    }
+    g = dict(zip(peaks, v @ _hitting_transform(transient, sub, eta, peaks)))
     # the transform is linear in the boundary values, so the all-peaks value
     # is the sum of the per-peak ones
     g_all = sum(g.values())
@@ -251,17 +243,9 @@ def conditioned_law(
     if start is None:
         start = whole_labelled(model.sites, 0)
     system = build_linear_system(model, starts=[start])
-    nsites = model.num_sites
-    keep = [i for i, s in enumerate(system.states) if len(s) < nsites]
-    if not keep:
+    kept_states, sub, v = _transient(system.states, system.matrix, start, model.num_sites)
+    if not v.any():
         raise ValueError("conditioning event has probability zero")
-    sub = system.matrix[np.ix_(keep, keep)]
-    kept_states = [system.states[i] for i in keep]
-    v = np.zeros(len(keep))
-    try:
-        v[kept_states.index(start)] = 1.0
-    except ValueError:
-        raise ValueError("conditioning event has probability zero") from None
     for _ in range(t):
         v = v @ sub
         total = v.sum()

@@ -1,16 +1,20 @@
-"""Command line front end.
+"""Command line front end and its document forms.
 
 One JSON config document drives every command; commands differ only in what
-they emit. Sites are 1-based in the document, locations are referred to by
-name. Exit status: 0 on success, 1 for model or config errors, 2 for usage
-errors.
+they emit. Sites are 1-based in every document and 0-based internally, and
+locations appear under their configured names. Partitions serialise as lists
+of blocks, labelled partitions as block records with a label field. Exit
+status: 0 on success, 1 for model or config errors (with the offending field
+path), 2 for usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -24,18 +28,7 @@ from .forward import RecombinationModel, backward_from_forward, checked_migratio
 from .linear import build_base_matrix, build_linear_system, solve_linear
 from .lpp import KEY_LIMIT, duality_estimate
 from .measures import Distribution, Metapopulation, TypeSpace, tensor
-from .partitions import Partition
-from .serialize import (
-    csv_float,
-    distribution_rows,
-    labelled_str,
-    labelled_to_doc,
-    partition_from_doc,
-    partition_to_doc,
-    partition_str,
-    qld_report_to_doc,
-    sequence_label,
-)
+from .partitions import LabelledPartition, Partition
 
 # command -> (mode it runs in, help line)
 COMMANDS = {
@@ -76,6 +69,48 @@ def _number(value, path: str, *, minimum=None, maximum=None, integral=False):
     if maximum is not None and value > maximum:
         raise ConfigError(path, f"must be <= {maximum}, got {value!r}")
     return value
+
+
+def partition_to_doc(part: Partition) -> list[list[int]]:
+    return [[s + 1 for s in block] for block in part.blocks]
+
+
+def partition_from_doc(doc, n: int, path: str) -> Partition:
+    if not isinstance(doc, list) or not doc:
+        raise ConfigError(path, "expected a non-empty list of blocks")
+    seen: set[int] = set()
+    blocks = []
+    for j, block in enumerate(doc):
+        if not isinstance(block, list) or not block:
+            raise ConfigError(f"{path}[{j}]", "expected a non-empty list of sites")
+        for s in block:
+            if not isinstance(s, int) or isinstance(s, bool) or not 1 <= s <= n:
+                raise ConfigError(f"{path}[{j}]", f"site {s!r} is not in 1..{n}")
+            if s - 1 in seen:
+                raise ConfigError(f"{path}[{j}]", f"site {s} appears twice")
+            seen.add(s - 1)
+        blocks.append([s - 1 for s in block])
+    return Partition(blocks)
+
+
+def labelled_to_doc(bdelta: LabelledPartition, names) -> list[dict]:
+    return [
+        {"sites": [s + 1 for s in block], "label": names[label]}
+        for block, label in bdelta.items
+    ]
+
+
+def partition_str(part: Partition) -> str:
+    """Compact one-line form, blocks separated by '|': \"1,2|3\"."""
+    return "|".join(",".join(str(s + 1) for s in block) for block in part.blocks)
+
+
+def labelled_str(bdelta: LabelledPartition, names) -> str:
+    """Compact labelled form: \"1,2@left|3@right\"."""
+    return "|".join(
+        ",".join(str(s + 1) for s in block) + "@" + names[label]
+        for block, label in bdelta.items
+    )
 
 
 @dataclass
@@ -156,12 +191,7 @@ def parse_config(doc: dict) -> RunConfig:
         path = f"recombination[{i}]"
         if not isinstance(item, dict):
             raise ConfigError(path, "expected an object with 'blocks' and 'p'")
-        blocks = _require(item, "blocks", path)
-        try:
-            part = partition_from_doc(blocks, n, f"{path}.blocks")
-        except ValueError as exc:
-            where, _, what = str(exc).partition(": ")
-            raise ConfigError(where, what or str(exc)) from None
+        part = partition_from_doc(_require(item, "blocks", path), n, f"{path}.blocks")
         if part.base_set != space.sites:
             raise ConfigError(f"{path}.blocks", "blocks must cover every site exactly once")
         p = _number(_require(item, "p", path), f"{path}.p", minimum=0.0)
@@ -314,14 +344,20 @@ class ResultTable:
         writer.writerow(["quantity", "index", "value", "stderr"])
         for quantity, index, value, stderr in self.rows:
             writer.writerow(
-                [quantity, index, csv_float(value), "" if stderr is None else csv_float(stderr)]
+                [quantity, index, f"{value:.12g}", "" if stderr is None else f"{stderr:.12g}"]
             )
 
 
-def _metapop_rows(mu: Metapopulation, names, quantity: str):
+def _location_rows(quantity: str, names, dists, stderrs=None):
+    """One row per weight of each location's distribution, indexed
+    "location:letters" with the letters comma-joined in mixed-radix order;
+    `stderrs`, one array per location, fills the stderr column."""
     rows = []
-    for i, name in enumerate(names):
-        rows.extend((q, idx, v, None) for q, idx, v in distribution_rows(mu[i], name, quantity))
+    for k, (name, dist) in enumerate(zip(names, dists)):
+        letters = itertools.product(*map(range, dist.shape))
+        for i, (w, seq) in enumerate(zip(dist.weights, letters)):
+            err = None if stderrs is None else float(stderrs[k][i])
+            rows.append((quantity, f"{name}:{','.join(map(str, seq))}", float(w), err))
     return rows
 
 
@@ -332,6 +368,15 @@ def _need(config: RunConfig, field: str):
     return value
 
 
+# commands that emit one metapopulation: command -> (quantity, solver)
+SOLVERS = {
+    "iterate": ("mu", lambda c: iterate(c.initial, c.model, _need(c, "t"))[-1]),
+    "linear": ("mu", lambda c: solve_linear(c.initial, c.model, _need(c, "t"))),
+    "limit": ("mu_inf", lambda c: limit_metapopulation(c.initial, c.model)),
+    "ct-solve": ("omega", lambda c: ct_solve_dual(c.initial, c.model, _need(c, "t"))),
+}
+
+
 def run(command: str, config: RunConfig, matrix_kind: str = "T"):
     """Dispatch one command, a key of COMMANDS; returns (ResultTable, json
     payload)."""
@@ -340,99 +385,78 @@ def run(command: str, config: RunConfig, matrix_kind: str = "T"):
         raise ConfigError("mode", f"command {command!r} requires mode={mode!r}")
     names = config.location_names
 
-    if command == "iterate":
-        final = iterate(config.initial, config.model, _need(config, "t"))[-1]
-        table = ResultTable(command, _metapop_rows(final, names, "mu"))
-        return table, table.to_payload()
-
-    if command == "linear":
-        final = solve_linear(config.initial, config.model, _need(config, "t"))
-        table = ResultTable(command, _metapop_rows(final, names, "mu"))
-        return table, table.to_payload()
-
-    if command == "simulate":
-        t = _need(config, "t")
-        seed = _need(config, "seed")
-        replicates = _need(config, "replicates")
-        rows = []
-        for alpha, name in enumerate(names):
-            est = duality_estimate(
-                alpha, config.initial, config.model, t, replicates, seed + alpha
-            )
-            for i, w in enumerate(est.estimate.weights):
-                rows.append(
-                    (
-                        "mu_hat",
-                        f"{name}:{sequence_label(config.space, config.space.sites, i)}",
-                        float(w),
-                        float(est.stderr[i]),
-                    )
-                )
-        table = ResultTable(command, rows)
-        return table, table.to_payload()
-
-    if command == "limit":
-        mu_inf = limit_metapopulation(config.initial, config.model)
-        table = ResultTable(command, _metapop_rows(mu_inf, names, "mu_inf"))
-        return table, table.to_payload()
-
-    if command == "qld":
-        report = qld(config.model)
-        payload = qld_report_to_doc(report, names)
-        rows = [("eta", "", payload["eta"], None)]
-        rows.extend(
-            ("P_qlim", partition_str(p), report.qlim[p], None)
-            for p in report.peak_states
+    if command in SOLVERS:
+        quantity, solve = SOLVERS[command]
+        rows = _location_rows(quantity, names, solve(config))
+    elif command == "simulate":
+        t, seed, replicates = (_need(config, f) for f in ("t", "seed", "replicates"))
+        ests = [
+            duality_estimate(alpha, config.initial, config.model, t, replicates, seed + alpha)
+            for alpha in range(len(names))
+        ]
+        rows = _location_rows(
+            "mu_hat", names, [e.estimate for e in ests], [e.stderr for e in ests]
         )
-        rows.extend(
-            ("labelled_qlim", labelled_str(s, names), value, None)
-            for s, value in sorted(
-                report.labelled_qlim.items(), key=lambda kv: kv[0].sort_key()
-            )
-        )
-        rows.extend(
-            ("q", name, float(report.location_weights[i]), None)
-            for i, name in enumerate(names)
-        )
-        return ResultTable(command, rows), payload
-
-    if command == "ct-solve":
-        final = ct_solve_dual(config.initial, config.model, _need(config, "t"))
-        table = ResultTable(command, _metapop_rows(final, names, "omega"))
-        return table, table.to_payload()
-
-    if command == "ct-integrate":
+    elif command == "ct-integrate":
         traj = integrate(config.initial, config.model, _need(config, "t"), _need(config, "dt"))
-        rows = _metapop_rows(traj.final, names, "omega")
+        rows = _location_rows("omega", names, traj.final)
         rows.append(("max_drift", "", traj.max_drift, None))
-        table = ResultTable(command, rows)
-        return table, table.to_payload()
+    elif command == "qld":
+        return _qld_result(qld(config.model), names)
+    else:
+        return _export_result(config.model, names, matrix_kind)
+    table = ResultTable(command, rows)
+    return table, table.to_payload()
 
-    # export-T
+
+def _qld_result(report, names):
+    """The quasi-limit: eta, the peak states F with their conditional
+    probabilities, the labelled weights, and the stationary location
+    weights."""
+    peaks = report.peak_states
+    labelled = sorted(report.labelled_qlim.items(), key=lambda kv: kv[0].sort_key())
+    payload = {
+        "eta": float(report.max_sojourn),
+        "F": [partition_to_doc(p) for p in peaks],
+        "P_qlim": [float(report.qlim[p]) for p in peaks],
+        "labelled_qlim": [
+            {"blocks": labelled_to_doc(s, names), "p": float(w)} for s, w in labelled
+        ],
+        "q": [float(x) for x in report.location_weights],
+    }
+    rows = [("eta", "", payload["eta"], None)]
+    rows += [("P_qlim", partition_str(p), report.qlim[p], None) for p in peaks]
+    rows += [("labelled_qlim", labelled_str(s, names), w, None) for s, w in labelled]
+    rows += [("q", name, float(w), None) for name, w in zip(names, report.location_weights)]
+    return ResultTable("qld", rows), payload
+
+
+def _export_result(model, names, matrix_kind):
+    """Nonzero entries of the labelled (T) or label-free (Tul) transition
+    matrix, and the dense matrix with its states."""
     if matrix_kind == "T":
-        system = build_linear_system(config.model)
+        system = build_linear_system(model)
         labels = [labelled_str(s, names) for s in system.states]
         docs = [labelled_to_doc(s, names) for s in system.states]
         matrix = system.matrix
     else:
-        states, matrix = build_base_matrix(config.model)
+        states, matrix = build_base_matrix(model)
         labels = [partition_str(p) for p in states]
         docs = [partition_to_doc(p) for p in states]
     rows = [
         (matrix_kind, f"{labels[i]} -> {labels[j]}", float(matrix[i, j]), None)
-        for i in range(len(labels))
-        for j in range(len(labels))
-        if matrix[i, j] != 0.0
+        for i, j in zip(*np.nonzero(matrix))
     ]
     payload = {
-        "command": command,
+        "command": "export-T",
         "matrix_kind": matrix_kind,
         "states": docs,
         "matrix": [[float(x) for x in row] for row in matrix],
     }
-    return ResultTable(command, rows), payload
+    return ResultTable("export-T", rows), payload
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recolat",
@@ -464,8 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -197,7 +197,7 @@ def build_generator(model: CtModel, starts=None) -> LinearSystem:
     starts = checked_starts(model, starts)
     states, q = closure(starts, lambda s: _jump_targets(s, model), LabelledPartition.sort_key)
     np.fill_diagonal(q, -q.sum(axis=1))
-    return LinearSystem(model, starts, states, q)
+    return LinearSystem(starts, states, q)
 
 
 def ct_solve_dual(

@@ -106,10 +106,9 @@ class LinearSystem:
     the transition matrix T of `build_linear_system`, or the jump generator
     Q of `ctime.build_generator`."""
 
-    __slots__ = ("model", "starts", "states", "pos", "matrix")
+    __slots__ = ("starts", "states", "pos", "matrix")
 
-    def __init__(self, model, starts, states, matrix):
-        object.__setattr__(self, "model", model)
+    def __init__(self, starts, states, matrix):
         object.__setattr__(self, "starts", tuple(starts))
         object.__setattr__(self, "states", list(states))
         object.__setattr__(self, "pos", {s: i for i, s in enumerate(states)})
@@ -154,9 +153,9 @@ def build_linear_system(
     while (grown := reach | (reach @ matrix > 0)).sum() > reach.sum():
         reach = grown
     if reach.all():
-        return LinearSystem(model, starts, states, matrix)
+        return LinearSystem(starts, states, matrix)
     keep = np.flatnonzero(reach)
-    return LinearSystem(model, starts, [states[k] for k in keep], matrix[np.ix_(keep, keep)])
+    return LinearSystem(starts, [states[k] for k in keep], matrix[np.ix_(keep, keep)])
 
 
 def base_transition_row(model: RecombinationModel, delta: Partition) -> dict[Partition, float]:

@@ -82,9 +82,6 @@ class Partition:
         idx = {s: i for i, b in enumerate(self.blocks) for s in b}
         return tuple(idx[s] for s in sorted(idx))
 
-    def sort_key(self):
-        return self.rgs()
-
 
 class LabelledPartition:
     """A partition whose blocks each carry a location label (an int)."""

@@ -10,10 +10,14 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import recolat
 from recolat.cli import ConfigError, main, parse_config
 
 
@@ -188,6 +192,27 @@ class TestParseConfig:
         code, out, err = run_cli([argv[0], "--config", path, *argv[1:]])
         assert code == 1 and out == ""
         assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "blocks, path, message",
+        [
+            ([[1], [1, 2]], "recombination[1].blocks[1]", "site 1 appears twice"),
+            ([[1, 3]], "recombination[1].blocks[0]", "site 3 is not in 1..2"),
+            ([[1], [True]], "recombination[1].blocks[1]", "site True is not in 1..2"),
+            ([], "recombination[1].blocks", "expected a non-empty list of blocks"),
+            ("1,2", "recombination[1].blocks", "expected a non-empty list of blocks"),
+            ([1, 2], "recombination[1].blocks[0]", "expected a non-empty list of sites"),
+            ([[1], []], "recombination[1].blocks[1]", "expected a non-empty list of sites"),
+        ],
+    )
+    def test_block_faults_name_the_block(self, tmp_path, blocks, path, message):
+        doc = copy.deepcopy(BASE)
+        doc["recombination"][1]["blocks"] = blocks
+        with pytest.raises(ConfigError) as caught:
+            parse_config(copy.deepcopy(doc))
+        assert caught.value.path == path
+        code, out, err = run_cli(["iterate", "--config", write_config(tmp_path, doc)])
+        assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
 
     def test_forward_needs_sizes(self):
         doc = copy.deepcopy(BASE)
@@ -428,3 +453,23 @@ class TestExitCodes:
         path = write_config(tmp_path, doc)
         code, _, err = run_cli(["limit", "--config", path])
         assert code == 1 and "primitive" in err
+
+    def test_calls_in_one_process_match_calls_alone(self, tmp_path, monkeypatch):
+        # one process may serve many commands; none may leak into the next
+        monkeypatch.setenv("COLUMNS", "80")
+        path = write_config(tmp_path, BASE)
+        calls = [
+            ["frobnicate", "--config", path],
+            ["--help"],
+            ["simulate", "--help"],
+            ["simulate", "--config", path, "--replicates", "50", "--format", "json"],
+        ]
+        src = os.path.dirname(os.path.dirname(recolat.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+        script = "import sys; from recolat.cli import main; sys.exit(main(sys.argv[1:]))"
+        for argv in calls:
+            alone = subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert run_cli(argv) == (alone.returncode, alone.stdout, alone.stderr), argv
