@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import RecombinationModel
+from .forward import RecombinationModel, check_locations
 from .linear import build_base_matrix, build_linear_system
 from .measures import Distribution, Metapopulation, recombinator
 from .partitions import (
@@ -100,6 +100,7 @@ def limit_metapopulation(mu0: Metapopulation, model: RecombinationModel) -> Meta
         )
     if mu0.support != model.sites:
         raise ValueError("initial state must cover all sites")
+    check_locations(mu0, model)
     # marginals commute with the location average, so the limit is the
     # all-singletons recombinator of the stationarily averaged distribution
     mixed = Distribution(mu0.space, mu0.support, profile.weights @ mu0.stack(), atol=1e-9)

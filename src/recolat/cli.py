@@ -416,6 +416,7 @@ def _qld_result(report, names):
     peaks = report.peak_states
     labelled = sorted(report.labelled_qlim.items(), key=lambda kv: kv[0].sort_key())
     payload = {
+        "command": "qld",
         "eta": float(report.max_sojourn),
         "F": [partition_to_doc(p) for p in peaks],
         "P_qlim": [float(report.qlim[p]) for p in peaks],

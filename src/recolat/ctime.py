@@ -32,11 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .forward import induced_law
-from .linear import LinearSystem, build_recombinator_vector, checked_starts, closure
+from .forward import check_locations, induced_law
+from .linear import LinearSystem, checked_starts, closure, start_rows
 from .lpp import replicate_rng
 from .measures import BlockPlan, Metapopulation, TypeSpace
-from .partitions import LabelledPartition, Partition, glued_labelled, whole_labelled
+from .partitions import LabelledPartition, Partition, glued_labelled
 
 GENERATOR_ATOL = 1e-12
 # t_end/dt within this of a whole number k means k RK4 steps
@@ -215,13 +215,7 @@ def ct_solve_dual(
         raise ValueError("initial state must cover all sites")
     if generator is None:
         generator = build_generator(model)
-    vec = build_recombinator_vector(omega0, generator.states)
-    propagated = expm(t * generator.matrix) @ vec
-    rows = [
-        propagated[generator.pos[whole_labelled(model.sites, alpha)]]
-        for alpha in range(model.num_locations)
-    ]
-    return Metapopulation.from_stack(model.space, model.sites, np.stack(rows), atol=1e-9)
+    return start_rows(expm(t * generator.matrix), omega0, model, generator)
 
 
 def _adaptive_simpson(f, a, b, tol):
@@ -262,6 +256,7 @@ def ct_two_site(omega0: Metapopulation, model: CtModel, t: float) -> Metapopulat
         raise ValueError("negative horizon")
     if omega0.support != model.sites:
         raise ValueError("initial state must cover all sites")
+    check_locations(omega0, model)
     fin = Partition([(model.sites[0],), (model.sites[1],)])
     rho = model.rates.get(fin, 0.0)
     gen = model.generator
@@ -305,7 +300,7 @@ def ct_simulate(
 ):
     """Gillespie sampling of the jump process: exponential holding times at
     the total outgoing rate, jump chosen proportionally to the event rates.
-    One counter-based stream per replicate, as in the discrete sampler."""
+    One counter-based stream per replicate, unlike the chunked discrete walk."""
     if t_end < 0:
         raise ValueError("negative horizon")
     if replicates < 1:

@@ -12,9 +12,10 @@ Marginalising commutes with the dynamics: the type distribution on a site
 subset U evolves by the same migration-recombination recursion under the
 induced recombination law r_U, each partition restricted to U with the
 weights of equal restrictions summed (M. Baake & E. Baake, Canad. J. Math.
-55, 2003). `marginal_step` is that induced generation on the support of its
-input; `induced_law` computes r_U, and the rates a continuous-time model
-induces, through one cached routine.
+55, 2003). So one generation map, `step`, serves every support: it
+recombines under the law induced on the support of its input, and
+`marginal_step` is the same function. `induced_law` computes r_U, and the
+rates a continuous-time model induces, through one cached routine.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .measures import BlockPlan, Metapopulation, TypeSpace, block_products
+from .measures import BlockPlan, Metapopulation, TypeSpace
 from .partitions import Partition
 
 MASS_ATOL = 1e-12
@@ -45,10 +46,16 @@ def checked_migration(migration) -> np.ndarray:
     return m
 
 
+def check_locations(mu: Metapopulation, model) -> None:
+    """Refuse an initial state whose location count is not the model's."""
+    if len(mu) != model.num_locations:
+        raise ValueError("initial state has the wrong number of locations")
+
+
 class RecombinationModel:
     """Type space, recombination distribution and backward migration matrix."""
 
-    __slots__ = ("space", "recomb", "migration", "_pulls", "_marginal_cache", "__weakref__")
+    __slots__ = ("space", "recomb", "migration", "_marginal_cache", "__weakref__")
 
     def __init__(
         self,
@@ -80,8 +87,6 @@ class RecombinationModel:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "recomb", dict(clean))
         object.__setattr__(self, "migration", checked_migration(migration))
-        plan = BlockPlan(space.sites, [[(b, None) for b in part.blocks] for part in clean])
-        object.__setattr__(self, "_pulls", (plan, np.array(list(clean.values()))))
         object.__setattr__(self, "_marginal_cache", {})
 
     def __setattr__(self, name, value):
@@ -119,20 +124,21 @@ def induced_law(
     split rates a model induces on the subset.
 
     `model` supplies the site set and a `_marginal_cache` dict, keyed by the
-    sorted subset, that holds the result for `weights`; callers get a copy.
+    sorted subset, that holds [result for `weights`, compiled `recombine`
+    plan or None]; callers get a copy of the result.
     """
     key = tuple(sorted(set(sites)))
     if not key:
         raise ValueError("empty site set")
     if not set(key) <= set(model.sites):
         raise ValueError(f"sites {key} not within the model's {model.num_sites} sites")
-    cached = model._marginal_cache.get(key)
-    if cached is None:
-        cached = model._marginal_cache[key] = {}
+    if key not in model._marginal_cache:
+        law: dict[Partition, float] = {}
         for part, w in weights.items():
             sub = part.restrict(key)
-            cached[sub] = cached.get(sub, 0.0) + w
-    return dict(cached)
+            law[sub] = law.get(sub, 0.0) + w
+        model._marginal_cache[key] = [law, None]
+    return dict(model._marginal_cache[key][0])
 
 
 def backward_from_forward(forward, sizes) -> np.ndarray:
@@ -171,10 +177,15 @@ def migrate(mu: Metapopulation, migration) -> Metapopulation:
 
 
 def recombine(mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
-    """Within-location recombination across the full site set."""
-    if mu.support != model.sites:
-        raise ValueError("recombine needs full-support distributions")
-    plan, weights = model._pulls
+    """Within-location recombination on the support of `mu`, under the
+    recombination law induced there; its plan is compiled on first use."""
+    entry = model._marginal_cache.get(mu.support)
+    if entry is None or entry[1] is None:
+        law = model.marginal_recombination(mu.support)
+        plan = BlockPlan(mu.support, [[(b, None) for b in part.blocks] for part in law])
+        entry = model._marginal_cache[mu.support]
+        entry[1] = (plan, np.fromiter(law.values(), dtype=float))
+    plan, weights = entry[1]
     acc = np.tensordot(weights, plan(mu.as_array()), axes=1)
     # the map conserves mass; strip float residue so long trajectories do
     # not accumulate drift
@@ -183,8 +194,12 @@ def recombine(mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
 
 
 def step(mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
-    """One generation: migrate, then recombine."""
+    """One generation: migrate, then recombine. On a site subset U this is
+    the induced dynamics under r_U; on a single site, pure migration."""
     return recombine(migrate(mu, model.migration), model)
+
+
+marginal_step = step
 
 
 def iterate(mu0: Metapopulation, model: RecombinationModel, t: int) -> list[Metapopulation]:
@@ -196,18 +211,3 @@ def iterate(mu0: Metapopulation, model: RecombinationModel, t: int) -> list[Meta
         out.append(step(out[-1], model))
     return out
 
-
-def marginal_step(mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
-    """One generation of the induced dynamics on the support of `mu`: migrate,
-    then recombine under the recombination law induced on the support.
-
-    On the full site set this equals `step`; on a single site it reduces to
-    pure migration.
-    """
-    law = model.marginal_recombination(mu.support)
-    moved = migrate(mu, model.migration)
-    prods = block_products(
-        moved.as_array(), mu.support, [[(b, None) for b in part.blocks] for part in law]
-    )
-    acc = np.tensordot(np.fromiter(law.values(), dtype=float), prods, axes=1)
-    return Metapopulation.from_stack(mu.space, mu.support, acc, atol=1e-9)

@@ -26,8 +26,8 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .forward import RecombinationModel
-from .measures import Distribution, Metapopulation, block_products
+from .forward import RecombinationModel, check_locations
+from .measures import Metapopulation, block_products
 from .partitions import LabelledPartition, Partition, whole_labelled
 
 __all__ = [
@@ -194,6 +194,20 @@ def matrix_power(matrix: np.ndarray, t: int) -> np.ndarray:
     return np.linalg.matrix_power(matrix, t)
 
 
+def start_rows(
+    law: np.ndarray, mu0: Metapopulation, model, system: LinearSystem
+) -> Metapopulation:
+    """Rows of the propagated law `law` (T^t or expm(tQ) over the states of
+    `system`) at the single-block starts, applied to the recombinator vector
+    of `mu0`: the metapopulation at time t."""
+    check_locations(mu0, model)
+    rows = [system.pos.get(s) for s in default_starts(model)]
+    if None in rows:
+        raise ValueError(f"the system lacks the single-block start of location {rows.index(None)}")
+    evolved = (law @ build_recombinator_vector(mu0, system.states))[rows]
+    return Metapopulation.from_stack(mu0.space, mu0.support, evolved, atol=1e-9)
+
+
 def solve_linear(
     mu0: Metapopulation,
     model: RecombinationModel,
@@ -204,12 +218,4 @@ def solve_linear(
     embedding instead of forward iteration."""
     if system is None:
         system = build_linear_system(model)
-    if len(mu0) != model.num_locations:
-        raise ValueError("initial state has the wrong number of locations")
-    weights = build_recombinator_vector(mu0, system.states)
-    evolved = matrix_power(system.matrix, t) @ weights
-    out = []
-    for alpha in range(model.num_locations):
-        i = system.pos[whole_labelled(model.sites, alpha)]
-        out.append(Distribution(mu0.space, mu0.support, evolved[i], atol=1e-9))
-    return Metapopulation(out)
+    return start_rows(matrix_power(system.matrix, t), mu0, model, system)

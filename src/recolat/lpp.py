@@ -10,15 +10,13 @@ of the old label; the split happens before the relabelling. Averaging the
 recombinator of the final state applied to the initial metapopulation over
 replicates estimates the forward solution started from a single-block state.
 
-Random streams are counter-based Philox generators keyed by (seed, stream),
-both in [0, 2**64) (`replicate_rng`), so results depend only on the
-arguments, never on scheduling:
-
-- `simulate` and `state_histograms` run one replicate at a time through
-  `lpp_step`; replicate i draws from stream i.
-- `duality_estimate` steps CHUNK = 1024 replicates together as integer
-  arrays; chunk c (replicates c*CHUNK onwards) draws from stream c. Its
-  numbers for a seed therefore differ from those of `simulate`.
+One seed contract covers `simulate`, `state_histograms` and
+`duality_estimate`: one walk steps CHUNK = 1024 replicates together as
+integer arrays, and chunk c (replicates c*CHUNK onwards) draws from the
+counter-based Philox stream `replicate_rng(seed, c)`. Results depend only on
+the arguments, and from the whole-set start at a location `simulate`'s final
+states are those `duality_estimate` counts. `lpp_step` is the one-replicate
+reference of a step.
 """
 
 from __future__ import annotations
@@ -29,14 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import RecombinationModel
+from .forward import RecombinationModel, check_locations
 from .linear import build_recombinator_vector, matrix_power
 from .measures import BlockPlan, Distribution, Metapopulation
-from .partitions import LabelledPartition, Partition, _by_block_min
+from .partitions import LabelledPartition, Partition, _by_block_min, whole_labelled
 
 _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
-# replicates `duality_estimate` steps together, one stream each; a chunk's
+# replicates the walk steps together, one stream per chunk; a chunk's
 # temporaries, a few (CHUNK, n) arrays and one (CHUNK, n, n) mask, stay small
 CHUNK = 1024
 KEY_LIMIT = 2**64  # seeds and streams are Philox key words
@@ -115,6 +113,55 @@ def lpp_step(
     return LabelledPartition._from_canonical(tuple(items))
 
 
+def _walk(
+    start: LabelledPartition, model: RecombinationModel, t: int, replicates: int, seed: int
+):
+    """Yield (k, block ids, labels) for generations k = 0..t of each chunk of
+    `replicates` runs from `start`, which must cover every site.
+
+    Row i of the (rows, n) arrays is one replicate: each site's block id in
+    the canonical RGS of the state's base, and the label of its block.
+    """
+    n = model.num_sites
+    sites = np.arange(n)
+    _, cum_r, cum_m = _sampling_tables(model)
+    cum_r, cum_m = np.array(cum_r), np.array(cum_m)
+    pieces = np.array([p.rgs() for p in model.recomb])  # (partitions, n)
+    block0 = np.array(start.base.rgs(), dtype=np.intp)
+    label0 = np.array(start.labels, dtype=np.intp)[block0]
+    for c, done in enumerate(range(0, replicates, CHUNK)):
+        rows = min(CHUNK, replicates - done)
+        rng = replicate_rng(seed, c)
+        r = np.arange(rows)[:, None]
+        block, label = np.tile(block0, (rows, 1)), np.tile(label0, (rows, 1))
+        yield 0, block, label
+        for k in range(1, t + 1):
+            # one partition per block slot, as lpp_step draws per block
+            draw = np.searchsorted(cum_r, rng.random((rows, n)), side="right")
+            key = block * n + pieces[draw[r, block], sites]
+            # renumber fragments by first occurrence: the canonical RGS
+            first = (key[:, :, None] == key[:, None, :]).argmax(axis=2)
+            rank = np.cumsum(first == sites, axis=1) - 1
+            block = rank[r, first]
+            # one uniform per new block, inverted on the old label's row
+            u = rng.random((rows, n))[r, rank]
+            moved = np.zeros_like(label)
+            for column in cum_m[:, :-1].T:
+                moved += column[label] <= u
+            label = moved[r, first]
+            yield k, block, label
+
+
+def _decode(code: list[int], n: int) -> LabelledPartition:
+    digits, labels = code[:n], code[n:]
+    blocks: list[list[int]] = [[] for _ in range(max(digits) + 1)]
+    for site, b in enumerate(digits):
+        blocks[b].append(site)
+    return LabelledPartition._from_canonical(
+        tuple((tuple(b), labels[b[0]]) for b in blocks)
+    )
+
+
 def simulate(
     bdelta0: LabelledPartition,
     model: RecombinationModel,
@@ -124,26 +171,25 @@ def simulate(
 ):
     """Yield `replicates` independent trajectories of length t+1.
 
-    Lazy: consume the generator to keep memory flat for large ensembles.
-    Replicate i is driven by replicate_rng(seed, i).
+    Lazy: only one chunk's paths are held at a time.
     """
     if t < 0:
         raise ValueError("negative horizon")
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    nsites = model.num_sites
+    n = model.num_sites
     if set(bdelta0.base_set) != set(model.sites):
         raise ValueError("start state must cover all sites")
-    for rep in range(replicates):
-        rng = replicate_rng(seed, rep)
-        states = [bdelta0]
-        absorbed = None if len(bdelta0) < nsites else 0
-        for k in range(t):
-            nxt = lpp_step(states[-1], model, rng)
-            states.append(nxt)
-            if absorbed is None and len(nxt) == nsites:
-                absorbed = k + 1
-        yield LppTrajectory(tuple(states), absorbed)
+    path = []
+    for k, block, label in _walk(bdelta0, model, t, replicates, seed):
+        path.append(np.concatenate([block, label], axis=1).astype(np.uint16))
+        if k < t:
+            continue
+        for codes in np.stack(path, axis=1):
+            states = tuple(_decode(code, n) for code in codes.tolist())
+            absorbed = next((j for j, s in enumerate(states) if len(s) == n), None)
+            yield LppTrajectory(states, absorbed)
+        path = []
 
 
 def state_histograms(
@@ -171,68 +217,6 @@ class DualityEstimate:
     final_counts: dict[LabelledPartition, int]
 
 
-def _final_codes(
-    location: int, model: RecombinationModel, t: int, replicates: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct final states of `replicates` runs from the whole-set state
-    at `location`, and their counts.
-
-    A state is a row of RGS block ids, one per site, followed by one location
-    label per site; rows come back in lexicographic order, which is the
-    `sort_key` order. Chunks of CHUNK replicates are stepped together and
-    their final rows merged into the counts, so memory does not grow with
-    `replicates`.
-    """
-    n = model.num_sites
-    sites = np.arange(n)
-    _, cum_r, cum_m = _sampling_tables(model)
-    cum_r, cum_m = np.array(cum_r), np.array(cum_m)
-    pieces = np.array([p.rgs() for p in model.recomb])  # (partitions, n)
-    # rows as big-endian uint16 bytes, whose memcmp order is the rows'
-    # lexicographic order (site and label numbers fit in 16 bits)
-    row_bytes = np.dtype((np.void, 2 * n * 2))
-    codes = np.empty(0, dtype=row_bytes)
-    counts = np.empty(0, dtype=np.intp)
-    for c, done in enumerate(range(0, replicates, CHUNK)):
-        rows = min(CHUNK, replicates - done)
-        rng = replicate_rng(seed, c)
-        r = np.arange(rows)[:, None]
-        block = np.zeros((rows, n), dtype=np.intp)
-        label = np.full((rows, n), location, dtype=np.intp)
-        for _ in range(t):
-            # one partition per block slot, as lpp_step draws per block
-            draw = np.searchsorted(cum_r, rng.random((rows, n)), side="right")
-            key = block * n + pieces[draw[r, block], sites]
-            # renumber fragments by first occurrence: the canonical RGS
-            first = (key[:, :, None] == key[:, None, :]).argmax(axis=2)
-            rank = np.cumsum(first == sites, axis=1) - 1
-            block = rank[r, first]
-            # one uniform per new block, inverted on the old label's row
-            u = rng.random((rows, n))[r, rank]
-            moved = np.zeros_like(label)
-            for column in cum_m[:, :-1].T:
-                moved += column[label] <= u
-            label = moved[r, first]
-        final = np.concatenate([block, label], axis=1).astype(">u2")
-        codes, inverse = np.unique(
-            np.concatenate([codes, final.view(row_bytes).ravel()]), return_inverse=True
-        )
-        counts = np.bincount(
-            inverse, weights=np.concatenate([counts, np.ones(rows)])
-        ).astype(np.intp)
-    return codes.view(">u2").reshape(-1, 2 * n), counts
-
-
-def _decode(code: list[int], n: int) -> LabelledPartition:
-    digits, labels = code[:n], code[n:]
-    blocks: list[list[int]] = [[] for _ in range(max(digits) + 1)]
-    for site, b in enumerate(digits):
-        blocks[b].append(site)
-    return LabelledPartition._from_canonical(
-        tuple((tuple(b), labels[b[0]]) for b in blocks)
-    )
-
-
 def duality_estimate(
     location: int,
     mu0: Metapopulation,
@@ -245,11 +229,12 @@ def duality_estimate(
     recombinator of the simulated final state applied to the initial
     metapopulation.
 
-    Replicates are stepped in chunks of CHUNK; chunk c draws from
-    `replicate_rng(seed, c)`. Identical final states are grouped before
-    averaging, so the reduction is a fixed-order deterministic sum; the
-    standard error is the exact per-coordinate sample standard error of the
-    grouped ensemble.
+    Only the last generation of each chunk of the walk is read, and final
+    states are merged into counts chunk by chunk, so memory does not grow
+    with `replicates`. Identical final states are grouped before averaging,
+    so the reduction is a fixed-order deterministic sum; the standard error
+    is the exact per-coordinate sample standard error of the grouped
+    ensemble.
     """
     if not 0 <= location < model.num_locations:
         raise ValueError(f"location {location} out of range")
@@ -257,9 +242,26 @@ def duality_estimate(
         raise ValueError("negative horizon")
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    codes, tally = _final_codes(location, model, t, replicates, seed)
+    check_locations(mu0, model)
     n = model.num_sites
-    ordered = [_decode(code, n) for code in codes.tolist()]
+    # rows as big-endian uint16 bytes, whose memcmp order is the rows'
+    # lexicographic order, the `sort_key` order (site and label numbers fit
+    # in 16 bits)
+    row_bytes = np.dtype((np.void, 2 * n * 2))
+    codes = np.empty(0, dtype=row_bytes)
+    tally = np.empty(0, dtype=np.intp)
+    start = whole_labelled(model.sites, location)
+    for k, block, label in _walk(start, model, t, replicates, seed):
+        if k < t:
+            continue
+        final = np.concatenate([block, label], axis=1).astype(">u2")
+        codes, inverse = np.unique(
+            np.concatenate([codes, final.view(row_bytes).ravel()]), return_inverse=True
+        )
+        tally = np.bincount(
+            inverse, weights=np.concatenate([tally, np.ones(len(final))])
+        ).astype(np.intp)
+    ordered = [_decode(code, n) for code in codes.view(">u2").reshape(-1, 2 * n).tolist()]
     counts = dict(zip(ordered, tally.tolist()))
 
     vectors = build_recombinator_vector(mu0, ordered)
@@ -287,6 +289,7 @@ def two_site_closed_form(
         raise ValueError("closed form requires exactly two sites")
     if t < 0:
         raise ValueError("negative horizon")
+    check_locations(mu0, model)
     r_whole = model.recomb.get(Partition([(0, 1)]), 0.0)
     r_split = model.recomb.get(Partition([(0,), (1,)]), 0.0)
     mig = model.migration

@@ -297,7 +297,8 @@ class TestCommands:
         code, out, _ = run_cli(["qld", "--config", path, "--format", "json"])
         assert code == 0
         doc = json.loads(out)
-        assert set(doc) == {"eta", "F", "P_qlim", "labelled_qlim", "q"}
+        assert list(doc) == ["command", "eta", "F", "P_qlim", "labelled_qlim", "q"]
+        assert doc["command"] == "qld"
         assert doc["eta"] == 0.5
         assert sorted(doc["F"]) == [[[1], [2], [3, 4]], [[1, 2], [3], [4]]]
         assert sum(doc["P_qlim"]) == pytest.approx(1.0, abs=1e-12)

@@ -72,18 +72,18 @@ class TestRngStreams:
         with pytest.raises(ValueError, match=r"2\*\*64"):
             duality_estimate(0, mu0, model, 1, 10, seed=2**64)
 
-    def test_simulate_uses_fresh_stream_per_replicate(self):
-        model = factories.random_model(RNG, 3, 2)
-        start = whole_labelled(model.sites, 0)
-        fast = [t.states for t in simulate(start, model, 4, 20, seed=9)]
-        slow = []
-        for rep in range(20):
-            g = replicate_rng(9, rep)
-            states = [start]
-            for _ in range(4):
-                states.append(lpp_step(states[-1], model, g))
-            slow.append(tuple(states))
-        assert fast == slow
+    def test_simulate_and_duality_estimate_share_one_contract(self):
+        # 2 500 replicates span three chunks
+        rng = np.random.default_rng(1406)
+        model = factories.random_model(rng, 3, 2)
+        mu0 = factories.random_metapop(rng, model.space, 2)
+        for alpha in range(2):
+            start = whole_labelled(model.sites, alpha)
+            tallies: dict[LabelledPartition, int] = {}
+            for traj in simulate(start, model, 4, 2500, seed=9):
+                tallies[traj.final] = tallies.get(traj.final, 0) + 1
+            est = duality_estimate(alpha, mu0, model, 4, 2500, seed=9)
+            assert tallies == est.final_counts
 
 
 class TestSimulate:
@@ -151,6 +151,21 @@ class TestOneStepLaw:
             got = counts.get(state, 0) / n
             band = 5 * np.sqrt(p * (1 - p) / n) + 1e-9
             assert abs(got - p) <= band, (state, got, p)
+
+    def test_simulate_from_mixed_label_two_block_start(self):
+        model = factories.random_model(np.random.default_rng(1407), 3, 2)
+        start = LabelledPartition([((0, 2), 1), ((1,), 0)])
+        row = oracles.brute_labelled_row(model, start.items)
+        n = 20000
+        counts: dict[tuple, int] = {}
+        for traj in simulate(start, model, 1, n, seed=12):
+            assert traj.states[0] == start
+            s = traj.states[1]
+            counts[s.items] = counts.get(s.items, 0) + 1
+        assert set(counts) <= set(row)
+        for state, p in row.items():
+            got = counts.get(state, 0) / n
+            assert abs(got - p) <= 5 * np.sqrt(p * (1 - p) / n) + 1e-9, (state, got, p)
 
     def test_two_block_start_splits_independently(self):
         model = factories.random_model(RNG, 3, 2)
