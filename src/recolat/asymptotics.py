@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import RecombinationModel, check_locations
+from .forward import RecombinationModel, check_horizon, check_initial, checked_migration
 from .linear import build_base_matrix, build_linear_system
 from .measures import Distribution, Metapopulation, recombinator
 from .partitions import (
@@ -43,11 +43,7 @@ class StationaryProfile:
 
 
 def stationary_distribution(migration) -> StationaryProfile:
-    m = np.asarray(migration, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("migration matrix must be square")
-    if m.min() < 0 or np.abs(m.sum(axis=1) - 1.0).max() > 1e-9:
-        raise ValueError("migration matrix is not row-stochastic")
+    m = checked_migration(migration)
     n = m.shape[0]
     positive = m > 0
     power = positive.copy()
@@ -98,9 +94,7 @@ def limit_metapopulation(mu0: Metapopulation, model: RecombinationModel) -> Meta
             "recombination support never separates some sites; model those "
             "sites merged into a single one"
         )
-    if mu0.support != model.sites:
-        raise ValueError("initial state must cover all sites")
-    check_locations(mu0, model)
+    check_initial(mu0, model, full=True)
     # marginals commute with the location average, so the limit is the
     # all-singletons recombinator of the stationarily averaged distribution
     mixed = Distribution(mu0.space, mu0.support, profile.weights @ mu0.stack(), atol=1e-9)
@@ -129,8 +123,7 @@ def absorption_tail(
     sums what survives; subtracting the absorbed mass from 1 instead would
     cancel catastrophically once the tail falls below machine epsilon.
     """
-    if t_max < 0:
-        raise ValueError("negative horizon")
+    check_horizon(t_max)
     if start is None:
         start = coarsest(model.sites)
     _, sub, v = _transient(*build_base_matrix(model, start), start, model.num_sites)
@@ -239,8 +232,7 @@ def conditioned_law(
     states, renormalising each step; algebraically identical to conditioning
     the t-th matrix power, but immune to underflow at large t.
     """
-    if t < 0:
-        raise ValueError("negative horizon")
+    check_horizon(t)
     if start is None:
         start = whole_labelled(model.sites, 0)
     system = build_linear_system(model, starts=[start])

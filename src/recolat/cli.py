@@ -71,6 +71,12 @@ def _number(value, path: str, *, minimum=None, maximum=None, integral=False):
     return value
 
 
+def _numbers(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(path, "expected a list of numbers")
+    return [_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
+
+
 def partition_to_doc(part: Partition) -> list[list[int]]:
     return [[s + 1 for s in block] for block in part.blocks]
 
@@ -212,10 +218,7 @@ def parse_config(doc: dict) -> RunConfig:
             or any(not isinstance(r, list) or len(r) != L for r in doc_matrix)
         ):
             raise ConfigError(path, f"expected a {L}x{L} matrix")
-        try:
-            return np.asarray(doc_matrix, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError(path, "matrix entries must be numbers") from None
+        return np.array([_numbers(r, f"{path}[{i}]") for i, r in enumerate(doc_matrix)], float)
 
     if has_backward:
         migration = matrix_from(raw_mig["backward"], "migration.backward")
@@ -277,16 +280,15 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(path, "provide exactly one of 'dense' or 'product'")
         try:
             if "dense" in spec:
-                weights = spec["dense"]
-                if not isinstance(weights, list):
-                    raise ConfigError(f"{path}.dense", "expected a list of weights")
+                weights = _numbers(spec["dense"], f"{path}.dense")
                 dists.append(Distribution(space, space.sites, weights))
             else:
                 rows = spec["product"]
                 if not isinstance(rows, list) or len(rows) != n:
                     raise ConfigError(f"{path}.product", f"expected {n} per-site weight lists")
                 factors = [
-                    Distribution(space, (s,), rows[s]) for s in range(n)
+                    Distribution(space, (s,), _numbers(rows[s], f"{path}.product[{s}]"))
+                    for s in range(n)
                 ]
                 dists.append(tensor(factors))
         except ConfigError:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .forward import check_locations, induced_law
+from .forward import check_horizon, check_initial, checked_weights, induced_law
 from .linear import LinearSystem, checked_starts, closure, start_rows
 from .lpp import replicate_rng
 from .measures import BlockPlan, Metapopulation, TypeSpace
@@ -44,15 +44,15 @@ GRID_RTOL = 1e-9
 
 
 def checked_generator(generator) -> np.ndarray:
-    """Read-only copy of a migration generator: square, non-negative off the
-    diagonal, rows summing to zero."""
+    """Read-only copy of a migration generator: square and finite,
+    non-negative off the diagonal, rows summing to zero."""
     gen = np.array(generator, dtype=float)
     if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
         raise ValueError("migration generator must be square")
     off = gen - np.diag(np.diag(gen))
-    if off.min() < 0:
-        raise ValueError("negative off-diagonal migration rate")
-    if np.abs(gen.sum(axis=1)).max() > GENERATOR_ATOL:
+    if not (np.isfinite(gen) & (off >= 0)).all():
+        raise ValueError("negative off-diagonal or non-finite migration rate")
+    if not np.abs(gen.sum(axis=1)).max() <= GENERATOR_ATOL:
         raise ValueError("generator rows must sum to zero")
     gen.flags.writeable = False
     return gen
@@ -64,18 +64,9 @@ class CtModel:
     __slots__ = ("space", "rates", "generator", "_pulls", "_marginal_cache")
 
     def __init__(self, space: TypeSpace, rates, generator):
-        full = space.sites
-        clean: dict[Partition, float] = {}
-        for part, rho in rates.items():
-            if part.base_set != full:
-                raise ValueError(f"rate partition {part} does not cover all sites")
-            rho = float(rho)
-            if not np.isfinite(rho) or rho < 0:
-                raise ValueError(f"negative or non-finite rate {rho!r}")
-            if rho > 0:
-                clean[part] = clean.get(part, 0.0) + rho
+        clean = checked_weights(space, rates, "rate")
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "rates", dict(clean))
+        object.__setattr__(self, "rates", clean)
         object.__setattr__(self, "generator", checked_generator(generator))
         # keeping everything together changes nothing, so only splits pull
         split = [part for part in clean if len(part) > 1]
@@ -145,12 +136,8 @@ def integrate(omega0: Metapopulation, model: CtModel, t_end: float, dt: float) -
     ratio t_end/dt that is whole up to round-off adds no sliver step."""
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
-    if not 0 <= t_end < np.inf:
-        raise ValueError("negative or non-finite horizon")
-    if omega0.support != model.sites:
-        raise ValueError("initial state must cover all sites")
-    if len(omega0) != model.num_locations:
-        raise ValueError("one distribution per location required")
+    check_horizon(t_end)
+    check_initial(omega0, model, full=True)
     steps = math.ceil(t_end / dt - GRID_RTOL)
     times = np.arange(steps + 1) * dt
     times[-1] = t_end
@@ -209,10 +196,8 @@ def ct_solve_dual(
     """Solution via the linearisation: exponentiate the jump-process
     generator, apply to the recombinator vector of the initial state, read
     off the single-block components."""
-    if t < 0:
-        raise ValueError("negative horizon")
-    if omega0.support != model.sites:
-        raise ValueError("initial state must cover all sites")
+    check_horizon(t)
+    check_initial(omega0, model, full=True)
     if generator is None:
         generator = build_generator(model)
     return start_rows(expm(t * generator.matrix), omega0, model, generator)
@@ -252,11 +237,8 @@ def ct_two_site(omega0: Metapopulation, model: CtModel, t: float) -> Metapopulat
     matrix exponential of the migration generator."""
     if model.num_sites != 2:
         raise ValueError("closed-form solution requires exactly two sites")
-    if t < 0:
-        raise ValueError("negative horizon")
-    if omega0.support != model.sites:
-        raise ValueError("initial state must cover all sites")
-    check_locations(omega0, model)
+    check_horizon(t)
+    check_initial(omega0, model, full=True)
     fin = Partition([(model.sites[0],), (model.sites[1],)])
     rho = model.rates.get(fin, 0.0)
     gen = model.generator
@@ -301,10 +283,10 @@ def ct_simulate(
     """Gillespie sampling of the jump process: exponential holding times at
     the total outgoing rate, jump chosen proportionally to the event rates.
     One counter-based stream per replicate, unlike the chunked discrete walk."""
-    if t_end < 0:
-        raise ValueError("negative horizon")
+    check_horizon(t_end)
     if replicates < 1:
         raise ValueError("need at least one replicate")
+    checked_starts(model, [start])
     for rep in range(replicates):
         rng = replicate_rng(seed, rep)
         t = 0.0

@@ -16,6 +16,11 @@ weights of equal restrictions summed (M. Baake & E. Baake, Canad. J. Math.
 recombines under the law induced on the support of its input, and
 `marginal_step` is the same function. `induced_law` computes r_U, and the
 rates a continuous-time model induces, through one cached routine.
+
+Routes of both time modes check input in one place each: model weights in
+`checked_weights`, stochastic matrices in `checked_migration`, initial states
+in `check_initial`, horizons in `check_horizon` and sampler starts in
+`linear.checked_starts`. Each tests for membership, so NaN fails too.
 """
 
 from __future__ import annotations
@@ -31,25 +36,51 @@ MASS_ATOL = 1e-12
 MIGRATION_ATOL = 1e-9  # matches the constancy tolerance of backward_from_forward
 
 
+def checked_weights(space: TypeSpace, weights: Mapping, what: str) -> dict[Partition, float]:
+    """The positive entries, as floats, of a map from partitions of all sites
+    to finite non-negative weights; `what` names a weight in error texts."""
+    full = space.sites
+    clean: dict[Partition, float] = {}
+    for part, weight in weights.items():
+        if not isinstance(part, Partition):
+            raise ValueError(f"{what} key {part!r} is not a Partition")
+        if part.base_set != full:
+            raise ValueError(f"partition {part!r} does not cover all sites {full}")
+        w = float(weight)
+        if not 0 <= w < np.inf:
+            raise ValueError(f"negative or non-finite {what} {w!r} for {part!r}")
+        if w > 0:
+            clean[part] = w
+    return clean
+
+
 def checked_migration(migration) -> np.ndarray:
-    """Read-only copy of a backward migration matrix: square, non-negative,
-    rows summing to one."""
+    """Read-only copy of a row-stochastic matrix: square, finite and
+    non-negative, rows summing to one."""
     m = np.array(migration, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("migration matrix must be square")
-    if m.min() < 0:
-        raise ValueError("migration matrix has negative entries")
+    if not (np.isfinite(m) & (m >= 0)).all():
+        raise ValueError("migration matrix has negative or non-finite entries")
     rows = m.sum(axis=1)
-    if np.abs(rows - 1.0).max() > MIGRATION_ATOL:
-        raise ValueError(f"migration matrix rows sum to {rows}, not 1")
+    if not np.abs(rows - 1.0).max() <= MIGRATION_ATOL:
+        raise ValueError(f"migration matrix is not row-stochastic: rows sum to {rows}, not 1")
     m.flags.writeable = False
     return m
 
 
-def check_locations(mu: Metapopulation, model) -> None:
-    """Refuse an initial state whose location count is not the model's."""
+def check_initial(mu: Metapopulation, model, *, full: bool = False) -> None:
+    """Refuse a state on another location count or, if `full`, on fewer sites."""
+    if full and mu.support != model.sites:
+        raise ValueError("initial state must cover all sites")
     if len(mu) != model.num_locations:
         raise ValueError("initial state has the wrong number of locations")
+
+
+def check_horizon(t) -> None:
+    """Refuse a horizon that is negative, infinite or NaN."""
+    if not 0 <= t < np.inf:
+        raise ValueError("negative or non-finite horizon")
 
 
 class RecombinationModel:
@@ -63,29 +94,12 @@ class RecombinationModel:
         recomb: Mapping[Partition, float],
         migration,
     ):
-        full = tuple(range(space.num_sites))
-        clean: dict[Partition, float] = {}
-        total = 0.0
-        for part, weight in recomb.items():
-            if not isinstance(part, Partition):
-                raise ValueError(f"recombination key {part!r} is not a Partition")
-            if part.base_set != full:
-                raise ValueError(
-                    f"partition {part!r} does not cover all sites {full}"
-                )
-            w = float(weight)
-            if w < 0:
-                raise ValueError(f"negative recombination probability for {part!r}")
-            total += w
-            if w > 0:
-                clean[part] = w
-        if abs(total - 1.0) > MASS_ATOL:
+        clean = checked_weights(space, recomb, "recombination probability")
+        total = sum(clean.values(), 0.0)
+        if not abs(total - 1.0) <= MASS_ATOL:
             raise ValueError(f"recombination probabilities sum to {total!r}, not 1")
-        if not clean:
-            raise ValueError("recombination distribution is empty")
-
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "recomb", dict(clean))
+        object.__setattr__(self, "recomb", clean)
         object.__setattr__(self, "migration", checked_migration(migration))
         object.__setattr__(self, "_marginal_cache", {})
 
@@ -149,14 +163,10 @@ def backward_from_forward(forward, sizes) -> np.ndarray:
     individual now at alpha: entry (alpha, beta) is sizes[beta] *
     forward[beta, alpha] / sizes[alpha].
     """
-    f = np.asarray(forward, dtype=float)
+    f = checked_migration(forward)
     c = np.asarray(sizes, dtype=float)
-    if f.ndim != 2 or f.shape[0] != f.shape[1] or c.shape != (f.shape[0],):
-        raise ValueError("forward matrix must be square with one size per location")
-    if f.min() < 0 or np.abs(f.sum(axis=1) - 1.0).max() > MIGRATION_ATOL:
-        raise ValueError("forward migration matrix is not row-stochastic")
-    if c.min() <= 0:
-        raise ValueError("population sizes must be positive")
+    if c.shape != f.shape[:1] or not (np.isfinite(c) & (c > 0)).all():
+        raise ValueError("population sizes must be positive and finite, one per location")
     drift = np.abs(f.T @ c - c).max()
     if drift > 1e-9 * c.max():
         raise ValueError(
@@ -196,6 +206,7 @@ def recombine(mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
 def step(mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
     """One generation: migrate, then recombine. On a site subset U this is
     the induced dynamics under r_U; on a single site, pure migration."""
+    check_initial(mu, model)
     return recombine(migrate(mu, model.migration), model)
 
 
@@ -204,8 +215,7 @@ marginal_step = step
 
 def iterate(mu0: Metapopulation, model: RecombinationModel, t: int) -> list[Metapopulation]:
     """Trajectory [mu_0, ..., mu_t]."""
-    if t < 0:
-        raise ValueError("negative horizon")
+    check_horizon(t)
     out = [mu0]
     for _ in range(t):
         out.append(step(out[-1], model))

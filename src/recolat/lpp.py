@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import RecombinationModel, check_locations
-from .linear import build_recombinator_vector, matrix_power
+from .forward import RecombinationModel, check_horizon, check_initial
+from .linear import build_recombinator_vector, checked_starts, matrix_power
 from .measures import BlockPlan, Distribution, Metapopulation
 from .partitions import LabelledPartition, Partition, _by_block_min, whole_labelled
 
@@ -173,13 +173,11 @@ def simulate(
 
     Lazy: only one chunk's paths are held at a time.
     """
-    if t < 0:
-        raise ValueError("negative horizon")
+    check_horizon(t)
     if replicates < 1:
         raise ValueError("need at least one replicate")
+    checked_starts(model, [bdelta0])
     n = model.num_sites
-    if set(bdelta0.base_set) != set(model.sites):
-        raise ValueError("start state must cover all sites")
     path = []
     for k, block, label in _walk(bdelta0, model, t, replicates, seed):
         path.append(np.concatenate([block, label], axis=1).astype(np.uint16))
@@ -238,11 +236,10 @@ def duality_estimate(
     """
     if not 0 <= location < model.num_locations:
         raise ValueError(f"location {location} out of range")
-    if t < 0:
-        raise ValueError("negative horizon")
+    check_horizon(t)
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    check_locations(mu0, model)
+    check_initial(mu0, model)
     n = model.num_sites
     # rows as big-endian uint16 bytes, whose memcmp order is the rows'
     # lexicographic order, the `sort_key` order (site and label numbers fit
@@ -287,9 +284,8 @@ def two_site_closed_form(
     """
     if model.num_sites != 2:
         raise ValueError("closed form requires exactly two sites")
-    if t < 0:
-        raise ValueError("negative horizon")
-    check_locations(mu0, model)
+    check_horizon(t)
+    check_initial(mu0, model)
     r_whole = model.recomb.get(Partition([(0, 1)]), 0.0)
     r_split = model.recomb.get(Partition([(0,), (1,)]), 0.0)
     mig = model.migration

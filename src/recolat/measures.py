@@ -12,7 +12,7 @@ compiled as a `BlockPlan`. `tensor` stays as a measure-level utility.
 
 A distribution with empty support is the scalar 1: the neutral factor of the
 tensor product. Constructors validate rather than repair: weights that are
-negative or do not sum to one (within tolerance) are rejected.
+negative, NaN or do not sum to one (within tolerance) are rejected.
 """
 
 from __future__ import annotations
@@ -95,11 +95,11 @@ class Distribution:
             raise ValueError(
                 f"weights have length {w.shape[0]}, support {sup} needs {space.dim(sup)}"
             )
-        if w.min(initial=0.0) < -atol:
-            raise ValueError(f"negative weight {w.min():.3e}")
+        if not w.min(initial=0.0) >= -atol:
+            raise ValueError(f"negative or non-finite weight {w.min():.3e}")
         total = w.sum()
-        if abs(total - 1.0) > atol:
-            raise ValueError(f"weights sum to {total!r}, not 1")
+        if not abs(total - 1.0) <= atol:
+            raise ValueError(f"weights sum to {total}, not 1")
         w.flags.writeable = False
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "support", sup)

@@ -79,6 +79,17 @@ class TestStationary:
             stationary_distribution([[0.9, 0.2], [0.2, 0.8]])
 
 
+    def test_rejects_nan_silently(self, capfd):
+        # LAPACK used to print DLASCL errors to the terminal before raising
+        rng = np.random.default_rng(1608)
+        m = rng.random((3, 3)) + 0.1
+        m /= m.sum(axis=1, keepdims=True)
+        m[tuple(rng.integers(3, size=2))] = np.nan
+        with pytest.raises(ValueError, match="non-finite entries"):
+            stationary_distribution(m)
+        assert capfd.readouterr() == ("", "")
+
+
 class TestLimit:
     def test_limit_reached_at_t200(self):
         for _ in range(3):

@@ -214,6 +214,42 @@ class TestParseConfig:
         code, out, err = run_cli(["iterate", "--config", write_config(tmp_path, doc)])
         assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
 
+    @pytest.mark.parametrize(
+        "mutate, path, message",
+        [
+            (lambda d: d["migration"]["backward"][1].__setitem__(0, "0.3"),
+             "migration.backward[1][0]", "expected a number, got '0.3'"),
+            (lambda d: d["migration"]["backward"][0].__setitem__(1, True),
+             "migration.backward[0][1]", "expected a number, got True"),
+            (lambda d: d["migration"]["backward"][1].__setitem__(0, float("nan")),
+             "migration.backward[1][0]", "expected a finite number, got nan"),
+            (lambda d: d.__setitem__(
+                "migration", {"forward": [[0.9, float("inf")], [0.2, 0.8]], "sizes": [2, 1]}),
+             "migration.forward[0][1]", "expected a finite number, got inf"),
+            (lambda d: d["initial"]["left"]["dense"].__setitem__(0, float("nan")),
+             "initial.left.dense[0]", "expected a finite number, got nan"),
+            (lambda d: d["initial"]["left"]["dense"].__setitem__(2, "0.2"),
+             "initial.left.dense[2]", "expected a number, got '0.2'"),
+            (lambda d: d["initial"]["right"]["product"][1].__setitem__(0, float("nan")),
+             "initial.right.product[1][0]", "expected a finite number, got nan"),
+            (lambda d: d["initial"]["right"]["product"][0].__setitem__(1, True),
+             "initial.right.product[0][1]", "expected a number, got True"),
+            (lambda d: d["initial"]["right"]["product"].__setitem__(0, 0.5),
+             "initial.right.product[0]", "expected a list of numbers"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["iterate", "linear", "limit", "qld"])
+    def test_number_faults_name_the_entry(self, tmp_path, mutate, path, message, command):
+        # strings and booleans used to be cast to numbers, and NaN literals
+        # (which json accepts) to print nan rows or LAPACK noise, all with exit 0
+        doc = copy.deepcopy(BASE)
+        mutate(doc)
+        with pytest.raises(ConfigError) as caught:
+            parse_config(copy.deepcopy(doc))
+        assert caught.value.path == path
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, doc)])
+        assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
+
     def test_forward_needs_sizes(self):
         doc = copy.deepcopy(BASE)
         doc["migration"] = {"forward": [[0.9, 0.1], [0.2, 0.8]]}

@@ -63,6 +63,20 @@ class TestCtModel:
         with pytest.raises(ValueError, match="square"):
             CtModel(space, {finest((0, 1)): 1.0}, [[0.0, 0.0]])
 
+    def test_nan_generator_entry_rejected(self):
+        # any NaN, on the diagonal or off it, used to pass both checks
+        rng = np.random.default_rng(1604)
+        gen = _conservative(rng.random((3, 3)))
+        gen[tuple(rng.integers(3, size=2))] = np.nan
+        with pytest.raises(ValueError, match="non-finite migration rate"):
+            CtModel(TypeSpace((2, 2)), {finest((0, 1)): 1.0}, gen)
+
+    def test_rejects_non_partition_key(self):
+        # used to raise AttributeError on the tuple's missing base_set
+        gen = _conservative(np.random.default_rng(1605).random((2, 2)))
+        with pytest.raises(ValueError, match="is not a Partition"):
+            CtModel(TypeSpace((2, 2)), {(0, 1): 1.0}, gen)
+
     def test_marginal_rates_accumulate(self):
         space = TypeSpace((2, 2, 2))
         fin3 = finest((0, 1, 2))
@@ -465,6 +479,12 @@ class TestJumpSampler:
         chains = list(ct_simulate(fully_split, model, 5.0, 3, seed=1))
         for c in chains:
             assert c.states == (fully_split,)
+
+    def test_start_label_outside_the_model_rejected(self):
+        # a start labelled 5 on 2 locations used to end in an IndexError
+        model = factories.random_ct_model(np.random.default_rng(1606), 2, 2)
+        with pytest.raises(ValueError, match="labels outside the model"):
+            list(ct_simulate(whole_labelled(model.sites, 5), model, 1.0, 3, seed=1))
 
     def test_state_at_lookup(self):
         model = factories.random_ct_model(RNG, 3, 2)

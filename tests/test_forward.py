@@ -6,6 +6,7 @@ import pytest
 from recolat.forward import (
     RecombinationModel,
     backward_from_forward,
+    checked_migration,
     iterate,
     marginal_step,
     migrate,
@@ -81,6 +82,43 @@ class TestModelValidation:
         assert model.multiparent_partitions == (three_blocks,)
         two_blocks = factories.two_site_model(RNG, 2)
         assert two_blocks.multiparent_partitions == ()
+
+
+def _random_migration(rng, locations):
+    mig = rng.random((locations, locations)) + 0.1
+    return mig / mig.sum(axis=1, keepdims=True)
+
+
+class TestNonFiniteInput:
+    """NaN compares false both ways, so it used to slip past every check
+    written as a test for violation."""
+
+    def test_nan_recombination_weight_rejected(self):
+        # {whole: nan, split: 0.5} used to pass as the law {split: 0.5} of mass 0.5
+        split = float(np.random.default_rng(1601).uniform(0.1, 0.9))
+        recomb = {Partition([[0, 1]]): float("nan"), Partition([[0], [1]]): split}
+        with pytest.raises(ValueError, match="non-finite recombination probability"):
+            RecombinationModel(TypeSpace((2, 2)), recomb, np.eye(2))
+
+    def test_nan_migration_entry_rejected(self):
+        rng = np.random.default_rng(1602)
+        mig = _random_migration(rng, 3)
+        mig[tuple(rng.integers(3, size=2))] = np.nan
+        with pytest.raises(ValueError, match="non-finite entries"):
+            checked_migration(mig)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            RecombinationModel(TypeSpace((2,)), {Partition([[0]]): 1.0}, mig)
+
+    def test_nan_forward_matrix_or_size_rejected(self):
+        rng = np.random.default_rng(1603)
+        forward = _random_migration(rng, 3)
+        sizes = np.ones(3)
+        sizes[rng.integers(3)] = np.nan
+        with pytest.raises(ValueError, match="positive"):
+            backward_from_forward(forward, sizes)
+        forward[tuple(rng.integers(3, size=2))] = np.nan
+        with pytest.raises(ValueError, match="non-finite entries"):
+            backward_from_forward(forward, np.ones(3))
 
 
 class TestMarginalRecombination:

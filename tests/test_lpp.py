@@ -136,6 +136,13 @@ class TestSimulate:
             list(simulate(start, model, 2, 0))
 
 
+    def test_start_label_outside_the_model_rejected(self):
+        # a start labelled 5 on 2 locations used to end in an IndexError
+        model = factories.random_model(np.random.default_rng(1607), 2, 2)
+        with pytest.raises(ValueError, match="labels outside the model"):
+            list(simulate(whole_labelled(model.sites, 5), model, 2, 3))
+
+
 class TestOneStepLaw:
     def test_empirical_frequencies_match_transition_row(self):
         model = factories.random_model(RNG, 2, 2)

@@ -67,6 +67,17 @@ class TestDistributionConstruction:
         with pytest.raises(ValueError, match="negative"):
             Distribution(ts, (0,), [1.5, -0.5])
 
+    def test_rejects_nan(self):
+        # NaN weights used to pass both the sign and the sum check
+        rng = np.random.default_rng(1609)
+        space = TypeSpace((2, 3))
+        stack = rng.dirichlet(np.ones(6), size=2)
+        stack[tuple(rng.integers((2, 6)))] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            Distribution(space, (0, 1), stack[np.isnan(stack).any(axis=1)][0])
+        with pytest.raises(ValueError, match="non-finite"):
+            Metapopulation.from_stack(space, (0, 1), stack, atol=1e-9)
+
     def test_rejects_wrong_length(self):
         ts = TypeSpace((2, 2))
         with pytest.raises(ValueError, match="length"):

@@ -1,14 +1,22 @@
 """Input checks that every solution route shares: the location count of the
-initial state, and a linear system that lacks a location's start."""
+initial state, the horizon, and a linear system that lacks a location's
+start."""
 
 import numpy as np
 import pytest
 
-from recolat.asymptotics import limit_metapopulation
-from recolat.ctime import CtModel, build_generator, ct_solve_dual, ct_two_site
-from recolat.forward import RecombinationModel
+from recolat.asymptotics import absorption_tail, conditioned_law, limit_metapopulation
+from recolat.ctime import (
+    CtModel,
+    build_generator,
+    ct_simulate,
+    ct_solve_dual,
+    ct_two_site,
+    integrate,
+)
+from recolat.forward import RecombinationModel, iterate, marginal_step, step
 from recolat.linear import build_linear_system, solve_linear
-from recolat.lpp import duality_estimate, two_site_closed_form
+from recolat.lpp import duality_estimate, simulate, two_site_closed_form
 from recolat.measures import TypeSpace
 from recolat.partitions import enumerate_partitions, whole_labelled
 
@@ -21,6 +29,26 @@ ROUTES = {
     "limit_metapopulation": lambda mu, m, ct: limit_metapopulation(mu, m),
     "ct_solve_dual": lambda mu, m, ct: ct_solve_dual(mu, ct, 0.5),
     "ct_two_site": lambda mu, m, ct: ct_two_site(mu, ct, 0.5),
+    "iterate": lambda mu, m, ct: iterate(mu, m, 3),
+    "step": lambda mu, m, ct: step(mu, m),
+    "marginal_step": lambda mu, m, ct: marginal_step(mu.marginalise([1]), m),
+    "integrate": lambda mu, m, ct: integrate(mu, ct, 0.5, 0.1),
+}
+
+# every route that takes a horizon, called at horizon t
+HORIZON_ROUTES = {
+    "iterate": lambda t, mu, m, ct: iterate(mu, m, t),
+    "duality_estimate": lambda t, mu, m, ct: duality_estimate(0, mu, m, t, 10, seed=1),
+    "simulate": lambda t, mu, m, ct: list(simulate(whole_labelled(m.sites, 0), m, t, 10)),
+    "two_site_closed_form": lambda t, mu, m, ct: two_site_closed_form(mu, m, t),
+    "absorption_tail": lambda t, mu, m, ct: absorption_tail(m, t),
+    "conditioned_law": lambda t, mu, m, ct: conditioned_law(m, t),
+    "ct_solve_dual": lambda t, mu, m, ct: ct_solve_dual(mu, ct, t),
+    "ct_two_site": lambda t, mu, m, ct: ct_two_site(mu, ct, t),
+    "integrate": lambda t, mu, m, ct: integrate(mu, ct, t, 0.1),
+    "ct_simulate": lambda t, mu, m, ct: list(
+        ct_simulate(whole_labelled(ct.sites, 0), ct, t, 10, seed=1)
+    ),
 }
 
 
@@ -33,6 +61,18 @@ def test_wrong_location_count_rejected(route, locations):
     mu0 = factories.random_metapop(rng, model.space, locations)
     with pytest.raises(ValueError, match="^initial state has the wrong number of locations$"):
         ROUTES[route](mu0, model, ct)
+
+
+@pytest.mark.parametrize("t", [-1, float("nan")])
+@pytest.mark.parametrize("route", sorted(HORIZON_ROUTES))
+def test_bad_horizon_rejected(route, t):
+    # a NaN horizon used to pass every `t < 0` check
+    rng = np.random.default_rng(1503)
+    model = factories.two_site_model(rng, 2)
+    ct = factories.random_ct_model(rng, 2, 2)
+    mu0 = factories.random_metapop(rng, model.space, 2)
+    with pytest.raises(ValueError, match="^negative or non-finite horizon$"):
+        HORIZON_ROUTES[route](t, mu0, model, ct)
 
 
 def test_system_without_a_start_is_refused():
