@@ -105,8 +105,7 @@ def ct_rhs(state, model: CtModel) -> np.ndarray:
     plan, rhos, total = model._pulls
     if rhos.size:
         prods = plan(stack.reshape((stack.shape[0],) + model.space.alphabet_sizes))
-        prods = prods.reshape(rhos.size, -1)
-        out += (rhos @ prods).reshape(stack.shape) - total * stack
+        out += (rhos @ prods.swapaxes(0, 1)).reshape(stack.shape) - total * stack
     return out
 
 

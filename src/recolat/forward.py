@@ -196,7 +196,7 @@ def recombine(mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
         entry = model._marginal_cache[mu.support]
         entry[1] = (plan, np.fromiter(law.values(), dtype=float))
     plan, weights = entry[1]
-    acc = np.tensordot(weights, plan(mu.as_array()), axes=1)
+    acc = weights @ plan(mu.as_array()).swapaxes(0, 1)
     # the map conserves mass; strip float residue so long trajectories do
     # not accumulate drift
     acc /= acc.sum(axis=1, keepdims=True)

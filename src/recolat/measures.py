@@ -17,6 +17,7 @@ negative, NaN or do not sum to one (within tolerance) are rejected.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -246,71 +247,232 @@ class Metapopulation:
         return f"Metapopulation({len(self.dists)} locations, support={self.support})"
 
 
+_ALL = slice(None)  # a pass step that keeps every pattern of its part
+
+
 class BlockPlan:
     """`block_products` compiled for one (support, state list): call it on a
     stack to evaluate. A plan holds no array of any stack, so one plan
-    serves any number of stacks."""
+    serves any number of stacks; its index tables are built for the alphabet
+    sizes of the first stack it evaluates, and rebuilt if a later stack has
+    other sizes.
 
-    __slots__ = ("own", "covered", "blocks", "entries", "depth", "slots")
+    Compiling numbers the distinct blocks by their site masks and records,
+    for each block slot (a state's first block, its second, ...), the block
+    each state reads there and its label. For the alphabet sizes it then
+    plans one pass over the support sites, last site first. A *pattern* is
+    the set of sites already passed that a marginal keeps; the pass holds
+    every live pattern's entries side by side on one trailing axis, with one
+    axis left per site not yet passed. At each site it keeps the site (its
+    letter axis folds into the trailing axis) for the patterns that some
+    needed block extends with it, and sums the site for those that some
+    block extends without it; a pattern no needed block extends is pruned
+    by a `take`. Each pattern's entries lie in runs of equal length, so the
+    position of every marginal entry is known at compile time: for each
+    block, a key table maps each output entry to the position of its factor
+    in the compact marginals. Adding a state's offset (raw or
+    mass-normalised half, label, or the ones column of an empty slot) gives
+    one gather index per slot and state, in the smallest unsigned dtype.
+    """
+
+    __slots__ = ("own", "masks", "factors", "labels", "codes", "empty", "sizes", "passes", "halves", "gathers")
 
     def __init__(self, support: Sequence[int], states: Sequence):
-        support = tuple(support)
-        kinds = {label is None for items in states for _, label in items}
+        width = max(map(len, states), default=0) or 1
+        # per block slot and state: the factor read there (-1 for an empty
+        # slot); a factor is a distinct (block, label) pair
+        self.codes = codes = [[-1] * len(states) for _ in range(width)]
+        self.empty = False
+        rows: dict = {}
+        for i, items in enumerate(states):
+            if len(items) < width:
+                self.empty = True
+            for k, item in enumerate(items):
+                row = rows.get(item)
+                if row is None:
+                    row = rows[item] = len(rows)
+                codes[k][i] = row
+        kinds = {label is None for _, label in rows}
         if len(kinds) > 1:
             raise ValueError("labels of one call must be all None or all int")
         self.own = False not in kinds
-        width = max(map(len, states), default=0)
-        entries: dict = {}  # (block, normalised) -> marginal entry
-        # per block slot: (entry, label) -> table row, and the row each state
-        # reads; an empty slot reads a row of ones, entry -1
-        rows: list = [{} for _ in range(width)]
-        codes = [[None] * len(states) for _ in range(width)]
-        for i, items in enumerate(states):
-            for k, (block, label) in enumerate(items):
-                key = (entries.setdefault((block, k > 0), len(entries)), label)
-                codes[k][i] = rows[k].setdefault(key, len(rows[k]))
-            for k in range(len(items), width):
-                codes[k][i] = rows[k].setdefault((-1, None), len(rows[k]))
-        by_block: dict = {}
-        for (block, normed), e in entries.items():
-            by_block.setdefault(block, [None, None])[normed] = e
-        covered = {s for block in by_block for s in block}
-        self.covered = tuple(s in covered for s in support)
-        self.blocks = [
-            (tuple(a for a, s in enumerate(support, 1) if s not in block), raw, normed)
-            for block, (raw, normed) in by_block.items()
-        ]
-        self.entries = len(entries)
-        self.depth = max(map(len, rows), default=0)
-        self.slots = [(list(keys), np.array(slot, dtype=np.intp)) for keys, slot in zip(rows, codes)]
+        bit = {s: 1 << i for i, s in enumerate(support)}
+        masks: dict = {}  # block -> its site mask
+        for block, _ in rows:
+            if block not in masks:
+                masks[block] = sum(bit[s] for s in block)
+        # distinct masks, then per factor the index of its mask and its label
+        self.masks = sorted(set(masks.values()))
+        index = {b: i for i, b in enumerate(self.masks)}
+        self.factors = [index[masks[block]] for block, _ in rows]
+        self.labels = [label or 0 for _, label in rows]
+        self.sizes = None
+
+    def _compile(self, sizes: tuple[int, ...]) -> None:
+        self.passes, total, layout = _site_pass(self.masks, sizes)
+        # table columns per location: the raw marginals, the mass-normalised
+        # ones if any state has a second block, a one if a slot is empty
+        width = len(self.codes)
+        self.halves = 1 if width == 1 else 2
+        stride = self.halves * total + self.empty
+        columns = (max(self.labels, default=0) + 1) * stride
+        dt = np.min_scalar_type(columns)  # holds every index
+        # key of output entry x for a factor: its column at x's letters, read
+        # off a view of the column numbers with its block's strides
+        union = 0
+        for b in self.masks:
+            union |= b
+        covered = [j for j in range(len(sizes)) if union >> j & 1]
+        shape = tuple(sizes[j] for j in covered)
+        numbers = np.arange(columns, dtype=dt)
+        views = []
+        for b in self.masks:
+            base, st, _ = layout[b]
+            step = dict(zip([j for j in covered if b >> j & 1], st))
+            views.append((base, tuple(step.get(j, 0) * numbers.itemsize for j in covered)))
+        keys = np.empty((len(self.factors) + 1, math.prod(shape)), dt)  # the last row serves empty slots
+        for key, m, label in zip(keys, self.factors, self.labels):
+            base, strides = views[m]
+            offset = (base + label * stride) * numbers.itemsize
+            key.reshape(shape)[...] = np.ndarray(shape, dt, numbers, offset, strides)
+        keys[-1] = self.halves * total
+        codes = np.array(self.codes, dtype=np.intp)
+        gathers = np.empty(codes.shape + keys.shape[1:], dt)
+        keys.take(codes[0], axis=0, out=gathers[0])
+        if width > 1:  # later slots read the mass-normalised half
+            keys[:-1] += total
+            keys.take(codes[1:], axis=0, out=gathers[1:])
+        self.gathers = list(gathers)
+        self.sizes = sizes
 
     def __call__(self, stack: np.ndarray) -> np.ndarray:
-        shape = tuple(size if c else 1 for size, c in zip(stack.shape[1:], self.covered))
-        mass = np.add.reduce(stack, tuple(range(1, stack.ndim)), keepdims=True)
-        # marginals keep their summed axes as size 1; the last entry is the
-        # ones of an empty slot
-        margs = [None] * self.entries + [1.0]
-        for drop, raw, normed in self.blocks:
-            marg = np.add.reduce(stack, drop, keepdims=True) if drop else stack
-            if raw is not None:
-                margs[raw] = marg
-            if normed is not None:
-                margs[normed] = marg / mass
-        table = np.empty((self.depth, stack.shape[0] if self.own else 1) + shape)
-        flat = table.reshape(table.shape[:2] + (-1,))
-        prod = factor = None
-        for keys, codes in self.slots:
-            for j, (e, label) in enumerate(keys):
-                table[j] = margs[e] if label is None else margs[e][label]
-            if prod is None:
-                prod = flat.take(codes, axis=0)
-                continue
-            if factor is None:
-                factor = np.empty_like(prod)
-            # codes are in range; mode "raise" would buffer the output
-            flat.take(codes, axis=0, out=factor, mode="clip")
-            np.multiply(prod, factor, out=prod)
-        return prod
+        if stack.shape[1:] != self.sizes:
+            self._compile(stack.shape[1:])
+        # (locations, letters of the sites not yet passed, pattern entries)
+        marg = stack[..., np.newaxis]
+        for fold, keep, drop in self.passes:
+            kept = summed = None
+            if fold:
+                kept = marg[..., keep] if type(keep) is slice else marg.take(keep, axis=-1)
+                kept = kept.reshape(kept.shape[: -1 - fold] + (-1,))
+            if type(drop) is slice:
+                summed = np.add.reduce(marg[..., drop], -2)
+            elif drop is not None:
+                summed = np.add.reduce(marg, -2).take(drop, axis=-1)
+            marg = None  # a pruned step frees the previous site's array here
+            marg = summed if kept is None else kept if summed is None else np.concatenate((kept, summed), axis=-1)
+        table = marg
+        if self.halves == 2 or self.empty:
+            parts = [marg]
+            if self.halves == 2:
+                mass = np.add.reduce(stack, tuple(range(1, stack.ndim)), keepdims=True)
+                parts.append(marg / mass.reshape(len(marg), 1))
+            if self.empty:
+                parts.append(np.ones((len(marg), 1)))
+            table = np.concatenate(parts, axis=1)
+        first, *rest = self.gathers
+        if self.own:
+            prod = table.take(first, axis=1)
+            for idx in rest:
+                prod *= table.take(idx, axis=1)
+            return prod.transpose(1, 0, 2)
+        # fancy indexing casts a small index in buffered chunks; take would
+        # copy it to intp at full size
+        flat = table.reshape(-1)
+        prod = flat[first]
+        for idx in rest:
+            prod *= flat[idx]
+        return prod[:, np.newaxis]
+
+
+def _site_pass(masks: list, sizes: tuple):
+    """The pass over the sites of a stack with these alphabet sizes that
+    leaves the marginal of every block in `masks` (site bitmasks) in one
+    compact row per location: its steps, the row length, and the layout of
+    every mask's marginal in the row."""
+    need = set(masks) or {0}
+    union, inter = 0, -1
+    for b in need:
+        union, inter = union | b, inter & b
+    # pattern -> (base, strides, sizes) of its kept sites, first site first:
+    # the affine map from a pattern's letters to its entries
+    layout = {0: (0, (), ())}
+    total = 1
+    # per step: (site axes the kept part folds, its selection, the summed
+    # part's selection or None); a selection is a slice or a take index
+    passes = []
+    folded = []  # sites every block keeps, not yet passed
+    for j in reversed(range(-1, len(sizes))):
+        if j >= 0 and inter >> j & 1:
+            folded.append(j)
+            continue
+        if folded:  # one reshape folds them all
+            layout, total = _fold(layout, total, folded, sizes)
+            if passes and passes[-1][2] is None:
+                passes[-1] = (passes[-1][0] + len(folded), passes[-1][1], None)
+            else:
+                passes.append((len(folded), _ALL, None))
+            folded = []
+        if j < 0:
+            return passes, total, layout
+        bit = 1 << j
+        if union & bit:
+            allowed = {b & -bit for b in need}  # the needed patterns of passed sites
+            keep, s_keep, kept = _part(layout, total, [p for p in layout if p | bit in allowed])
+            drop, s_drop, dropped = _part(layout, total, [p for p in layout if p in allowed])
+        else:  # no block keeps the site
+            keep, s_keep, kept, drop, s_drop, dropped = None, 0, {}, _ALL, total, layout
+        passes.append((0 if keep is None else 1, keep, drop))
+        layout = _fold(kept, s_keep, [j], sizes)[0]
+        for p, (base, st, dims) in dropped.items():
+            layout[p] = (sizes[j] * s_keep + base, st, dims)
+        total = sizes[j] * s_keep + s_drop
+
+
+def _fold(layout: dict, total: int, sites: list, sizes: tuple):
+    """The layout, and its entry count, after every pattern keeps `sites`
+    (in pass order, last site first): each becomes a pattern's slowest
+    axis."""
+    bits, strides, dims = 0, (), ()
+    for j in sites:
+        bits, strides, dims, total = bits | 1 << j, (total,) + strides, (sizes[j],) + dims, total * sizes[j]
+    return {p | bits: (base, strides + st, dims + dm) for p, (base, st, dm) in layout.items()}, total
+
+
+def _part(layout: dict, total: int, chosen: list):
+    """One part of a pass step: (its selection, its entry count, the layout
+    of its patterns). The selection is None for an empty part, a slice when
+    the chosen patterns' entries form one range (the layout shifts with
+    it), else the `take` index that packs them one after another."""
+    if not chosen:
+        return None, 0, {}
+    if len(chosen) == len(layout):
+        return _ALL, total, layout
+    index, packed = [], {}
+    for p in chosen:
+        base, st, dims = layout[p]
+        packed[p] = (len(index), _packed(dims), dims)
+        pos = [base]
+        for stride, d in zip(st, dims):
+            pos = [x + a * stride for x in pos for a in range(d)]
+        index += pos
+    low = min(index)
+    if max(index) - low > len(index) - 1:
+        return np.array(index), len(index), packed
+    shifted = {}
+    for p in chosen:
+        base, st, dims = layout[p]
+        shifted[p] = (base - low, st, dims)
+    return slice(low, low + len(index)), len(index), shifted
+
+
+def _packed(dims) -> tuple:
+    """Strides of a contiguous C-order block of the given axis sizes."""
+    st, step = [], 1
+    for d in reversed(dims):
+        st.append(step)
+        step *= d
+    return tuple(reversed(st))
 
 
 def block_products(stack: np.ndarray, support: Sequence[int], states: Sequence) -> np.ndarray:

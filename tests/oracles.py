@@ -6,7 +6,7 @@ fine; these run on tiny inputs.
 """
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -130,7 +130,7 @@ def loop_block_products(stack, support, states):
         prod = None
         for block, label in items:
             drop = tuple(a for a, s in enumerate(support, 1) if s not in block)
-            marg = np.add.reduce(stack, drop, keepdims=True) if drop else stack
+            marg = reduce(lambda m, a: np.add.reduce(m, a, keepdims=True), reversed(drop), stack)
             if prod is not None:
                 marg = marg / mass
             factor = marg if label is None else marg[label : label + 1]
