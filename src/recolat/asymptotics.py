@@ -123,7 +123,7 @@ def absorption_tail(
     sums what survives; subtracting the absorbed mass from 1 instead would
     cancel catastrophically once the tail falls below machine epsilon.
     """
-    check_horizon(t_max)
+    check_horizon(t_max, generations=True)
     if start is None:
         start = coarsest(model.sites)
     _, sub, v = _transient(*build_base_matrix(model, start), start, model.num_sites)
@@ -232,7 +232,7 @@ def conditioned_law(
     states, renormalising each step; algebraically identical to conditioning
     the t-th matrix power, but immune to underflow at large t.
     """
-    check_horizon(t)
+    check_horizon(t, generations=True)
     if start is None:
         start = whole_labelled(model.sites, 0)
     system = build_linear_system(model, starts=[start])

@@ -62,6 +62,8 @@ def _number(value, path: str, *, minimum=None, maximum=None, integral=False):
         raise ConfigError(path, f"expected a number, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(path, f"expected a finite number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(path, "expected a finite number, got an integer too large for a float")
     if integral and not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:

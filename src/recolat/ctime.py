@@ -15,12 +15,15 @@ supplies the jump rates and sets the diagonal to minus the row sums.
 
 The drift's product measures come from the recombinator kernel of
 `measures`: a `CtModel` compiles its split partitions into one `BlockPlan`
-at construction, and every `ct_rhs` call evaluates that plan, whose
-marginals after the first are divided by the location's mass. Each pull
-then keeps the mass of its row, so the flow conserves mass for any mass,
-not only on the simplex, and RK4 round-off does not grow. Unnormalised
-products would give dm/dt = sum of rho * (m**blocks - m), for which m = 1
-is an unstable fixed point.
+at construction, and every `ct_rhs` call evaluates that plan. One pass over
+the sites leaves the marginal of every block of every split partition in a
+compact table, one gather per block slot forms all the products from it,
+and one matrix product weights them by the rates. Marginals after the first
+are divided by the location's mass, so each pull keeps the mass of its row:
+the flow conserves mass for any mass, not only on the simplex, and RK4
+round-off does not grow. Unnormalised products would give dm/dt = sum of
+rho * (m**blocks - m), for which m = 1 is an unstable fixed point. scipy is
+imported only by the two routes that exponentiate a matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .forward import check_horizon, check_initial, checked_weights, induced_law
 from .linear import LinearSystem, checked_starts, closure, start_rows
@@ -195,6 +197,8 @@ def ct_solve_dual(
     """Solution via the linearisation: exponentiate the jump-process
     generator, apply to the recombinator vector of the initial state, read
     off the single-block components."""
+    from scipy.linalg import expm  # scipy loads only for the routes that need it
+
     check_horizon(t)
     check_initial(omega0, model, full=True)
     if generator is None:
@@ -234,6 +238,8 @@ def ct_two_site(omega0: Metapopulation, model: CtModel, t: float) -> Metapopulat
     """Two-site solution by conditioning on the last splitting time: a
     no-split term plus an integral over the split time, each factor a plain
     matrix exponential of the migration generator."""
+    from scipy.linalg import expm  # scipy loads only for the routes that need it
+
     if model.num_sites != 2:
         raise ValueError("closed-form solution requires exactly two sites")
     check_horizon(t)

@@ -77,10 +77,13 @@ def check_initial(mu: Metapopulation, model, *, full: bool = False) -> None:
         raise ValueError("initial state has the wrong number of locations")
 
 
-def check_horizon(t) -> None:
-    """Refuse a horizon that is negative, infinite or NaN."""
+def check_horizon(t, *, generations: bool = False) -> None:
+    """Refuse a horizon that is negative, infinite or NaN and, if it counts
+    `generations`, one that is not an integer."""
     if not 0 <= t < np.inf:
         raise ValueError("negative or non-finite horizon")
+    if generations and not isinstance(t, (int, np.integer)):
+        raise ValueError(f"a number of generations must be an integer, got {t!r}")
 
 
 class RecombinationModel:
@@ -215,7 +218,7 @@ marginal_step = step
 
 def iterate(mu0: Metapopulation, model: RecombinationModel, t: int) -> list[Metapopulation]:
     """Trajectory [mu_0, ..., mu_t]."""
-    check_horizon(t)
+    check_horizon(t, generations=True)
     out = [mu0]
     for _ in range(t):
         out.append(step(out[-1], model))

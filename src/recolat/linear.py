@@ -26,7 +26,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .forward import RecombinationModel, check_initial
+from .forward import RecombinationModel, check_horizon, check_initial
 from .measures import Metapopulation, block_products
 from .partitions import LabelledPartition, Partition, whole_labelled
 
@@ -216,6 +216,7 @@ def solve_linear(
 ) -> Metapopulation:
     """Metapopulation after t generations, computed through the linear
     embedding instead of forward iteration."""
+    check_horizon(t, generations=True)
     if system is None:
         system = build_linear_system(model)
     return start_rows(matrix_power(system.matrix, t), mu0, model, system)

@@ -173,7 +173,7 @@ def simulate(
 
     Lazy: only one chunk's paths are held at a time.
     """
-    check_horizon(t)
+    check_horizon(t, generations=True)
     if replicates < 1:
         raise ValueError("need at least one replicate")
     checked_starts(model, [bdelta0])
@@ -236,7 +236,7 @@ def duality_estimate(
     """
     if not 0 <= location < model.num_locations:
         raise ValueError(f"location {location} out of range")
-    check_horizon(t)
+    check_horizon(t, generations=True)
     if replicates < 1:
         raise ValueError("need at least one replicate")
     check_initial(mu0, model)
@@ -284,7 +284,7 @@ def two_site_closed_form(
     """
     if model.num_sites != 2:
         raise ValueError("closed form requires exactly two sites")
-    check_horizon(t)
+    check_horizon(t, generations=True)
     check_initial(mu0, model)
     r_whole = model.recomb.get(Partition([(0, 1)]), 0.0)
     r_split = model.recomb.get(Partition([(0,), (1,)]), 0.0)

@@ -8,7 +8,11 @@ sizes, so marginalising is an axis sum and the tensor product is an outer
 product followed by an axis permutation. `block_products` is the one
 array-level recombinator kernel that every solver route evaluates; routes
 that evaluate one state list at every step (`ct_rhs`, `recombine`) keep it
-compiled as a `BlockPlan`. `tensor` stays as a measure-level utility.
+compiled as a `BlockPlan`. The kernel makes one pass over the support sites
+that leaves every block marginal it reads in one compact row per location,
+lays the raw and mass-normalised rows side by side in one table, and forms
+each block slot's factors with one gather from that table. `tensor` stays
+as a measure-level utility.
 
 A distribution with empty support is the scalar 1: the neutral factor of the
 tensor product. Constructors validate rather than repair: weights that are
@@ -254,25 +258,30 @@ class BlockPlan:
     """`block_products` compiled for one (support, state list): call it on a
     stack to evaluate. A plan holds no array of any stack, so one plan
     serves any number of stacks; its index tables are built for the alphabet
-    sizes of the first stack it evaluates, and rebuilt if a later stack has
+    sizes of the first stack it evaluates, and rebuilt when a stack has
     other sizes.
 
-    Compiling numbers the distinct blocks by their site masks and records,
-    for each block slot (a state's first block, its second, ...), the block
-    each state reads there and its label. For the alphabet sizes it then
-    plans one pass over the support sites, last site first. A *pattern* is
-    the set of sites already passed that a marginal keeps; the pass holds
-    every live pattern's entries side by side on one trailing axis, with one
-    axis left per site not yet passed. At each site it keeps the site (its
-    letter axis folds into the trailing axis) for the patterns that some
-    needed block extends with it, and sums the site for those that some
-    block extends without it; a pattern no needed block extends is pruned
-    by a `take`. Each pattern's entries lie in runs of equal length, so the
-    position of every marginal entry is known at compile time: for each
-    block, a key table maps each output entry to the position of its factor
-    in the compact marginals. Adding a state's offset (raw or
-    mass-normalised half, label, or the ones column of an empty slot) gives
-    one gather index per slot and state, in the smallest unsigned dtype.
+    Building the plan numbers the distinct (block, label) factors and
+    records, per block slot (a state's first block, its second, ...), the
+    factor each state reads there. Compiling for the alphabet sizes then
+    plans the site pass and the gathers (`_site_pass`):
+
+    - A *pattern* is the set of already passed sites that a marginal keeps.
+      The pass holds the entries of every live pattern side by side on one
+      trailing axis, with one axis left per site not yet passed. Going from
+      the last site to the first, it folds the site into the entries of the
+      patterns that some needed block extends with it, sums it out of those
+      that some block extends without it, and drops the rest; a dropped
+      pattern costs a `take`, or a slice when the survivors form one range.
+      Each step is one sum, one concatenate and at most two selections.
+    - Every pattern's entries are an affine function of its letters, so
+      each factor's column in the table, at every letter tuple of the
+      output, is read off a strided view of the column numbers. Adding the
+      slot's half (raw for a first block, mass-normalised after it) gives
+      one gather index per slot and state, in the smallest unsigned dtype.
+
+    Evaluating runs the pass, lays out the table and, slot by slot, gathers
+    every state's factor and multiplies it into the products in place.
     """
 
     __slots__ = ("own", "masks", "factors", "labels", "codes", "empty", "sizes", "passes", "halves", "gathers")
@@ -494,21 +503,19 @@ def block_products(stack: np.ndarray, support: Sequence[int], states: Sequence) 
 
     The kernel runs in two steps, and this function does both; callers that
     evaluate one state list again and again keep the `BlockPlan` instead.
-    Compiling numbers the distinct blocks and, for each block slot (a
-    state's first block, its second, ...), the distinct (block, label)
-    factors that slot reads, and builds an integer table of the factor each
-    state reads there: its first block reads the raw marginal, later blocks
-    the mass-normalised one, and an empty slot a row of ones. Evaluating sums
-    each distinct block's marginal once and divides it by the mass once,
-    both kept at their summed shape. Then, slot by slot, it copies the slot's
-    factors into a table broadcast to (factors, rows, dim), gathers each
-    state's factor from it and multiplies it into the products in place;
-    factors are multiplied in block order, so the loop runs over at most the
-    number of sites and never over states. Besides the marginals, the peak
-    is three output-sized arrays: the products, the gathered factors and the
-    slot table, which has at most one factor per state. Summed axes are kept
-    as size 1, so marginals broadcast straight into global site order, with
-    no transpose and no limit on the site count.
+    Evaluating makes one pass over the support sites, last site first, that
+    keeps or sums each site for every block marginal the states read, so
+    each marginal entry is one sum over the dropped sites taken one site at
+    a time. It then puts, per location, the compact marginals, the same
+    divided by the location's mass, and a one for empty slots side by side
+    in one table, and for each block slot gathers every state's factor from
+    that table with one precomputed index and multiplies it into the
+    products in place, in block order. The numpy calls of one evaluation
+    grow with the number of sites and of slots, never with the number of
+    blocks or states. Besides the compact marginals, the peak is the
+    products, one gathered factor and the index tables of the slots. With
+    labels None the result is a transposed view of a (rows, states, dim)
+    array.
     """
     return BlockPlan(support, states)(stack)
 

@@ -72,10 +72,15 @@ class Partition:
         return f"Partition[{inner}]"
 
     def restrict(self, sites: Iterable[int]) -> "Partition":
-        """Induced partition on a non-empty subset of the base set."""
+        """Induced partition on a non-empty subset of the base set. The
+        blocks of a canonical partition cut down to the subset are disjoint
+        and sorted, so they are only re-ordered, not validated again."""
         v = _check_subset(sites, self.base_set)
-        kept = [tuple(s for s in b if s in v) for b in self.blocks]
-        return Partition([b for b in kept if b])
+        kept = [cut for cut in (tuple(s for s in b if s in v) for b in self.blocks) if cut]
+        kept.sort(key=lambda b: b[0])
+        part = object.__new__(Partition)
+        object.__setattr__(part, "blocks", tuple(kept))
+        return part
 
     def rgs(self) -> tuple[int, ...]:
         """Restricted growth string: per site (ascending), the index of its block."""

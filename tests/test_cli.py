@@ -250,6 +250,32 @@ class TestParseConfig:
         code, out, err = run_cli([command, "--config", write_config(tmp_path, doc)])
         assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
 
+    @pytest.mark.parametrize(
+        "doc, mutate, path, command",
+        [
+            (BASE, lambda d: d["migration"]["backward"][0].__setitem__(1, 10**400),
+             "migration.backward[0][1]", "iterate"),
+            (BASE, lambda d: d["recombination"][1].__setitem__("p", 10**400),
+             "recombination[1].p", "iterate"),
+            (BASE, lambda d: d["initial"]["left"]["dense"].__setitem__(2, 10**400),
+             "initial.left.dense[2]", "linear"),
+            (CT, lambda d: d.__setitem__("t", 10**400), "t", "ct-solve"),
+            (CT, lambda d: d.__setitem__("dt", 10**400), "dt", "ct-integrate"),
+        ],
+    )
+    def test_integers_beyond_float_range_name_the_entry(self, tmp_path, doc, mutate, path, command):
+        # json reads such a literal as an int that float() cannot convert
+        doc = copy.deepcopy(doc)
+        mutate(doc)
+        with pytest.raises(ConfigError) as caught:
+            parse_config(copy.deepcopy(doc))
+        assert caught.value.path == path
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, doc)])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: {path}: expected a finite number, got an integer too large for a float"
+        ]
+
     def test_forward_needs_sizes(self):
         doc = copy.deepcopy(BASE)
         doc["migration"] = {"forward": [[0.9, 0.1], [0.2, 0.8]]}
@@ -490,6 +516,20 @@ class TestExitCodes:
         path = write_config(tmp_path, doc)
         code, _, err = run_cli(["limit", "--config", path])
         assert code == 1 and "primitive" in err
+
+    def test_import_loads_no_scipy(self):
+        # every command pays for the package import; scipy loads only in the
+        # routes that exponentiate a matrix
+        src = os.path.dirname(os.path.dirname(recolat.__file__))
+        script = (
+            "import sys, recolat, recolat.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
     def test_calls_in_one_process_match_calls_alone(self, tmp_path, monkeypatch):
         # one process may serve many commands; none may leak into the next

@@ -16,6 +16,7 @@ from recolat.measures import (
 )
 from recolat.partitions import LabelledPartition, whole_labelled
 
+import factories
 import oracles
 
 RNG = np.random.default_rng(20260815)
@@ -412,6 +413,62 @@ class TestBlockProducts:
         np.testing.assert_array_equal(b, block_products(second, space.sites, states))
         np.testing.assert_allclose(b, kernel_oracle(second, space, space.sites, states), rtol=1e-12)
         assert not np.allclose(a, b)
+
+
+    @pytest.mark.parametrize("sizes", [(8, 3, 9), (9, 8), (2, 9, 8, 3)])
+    def test_pairwise_summed_alphabets_off_simplex(self, sizes):
+        # numpy sums an axis of 8 or more letters pairwise, so the order in
+        # which the site pass sums may round differently from the oracle's
+        rng = np.random.default_rng(16)
+        space = TypeSpace(sizes)
+        stack = random_stack(rng, space, 3, space.sites, mass=(0.2, 5.0))
+        for own in (True, False):
+            states = [
+                [(b, None if own else int(rng.integers(3))) for b in random_blocks(rng, list(space.sites))]
+                for _ in range(6)
+            ]
+            got = block_products(stack, space.sites, states)
+            np.testing.assert_allclose(got, kernel_oracle(stack, space, space.sites, states), rtol=1e-12)
+
+    def test_one_plan_two_stacks_of_one_shape(self):
+        rng = np.random.default_rng(17)
+        space = TypeSpace((2, 3, 2, 2))
+        states = [[(b, None) for b in random_blocks(rng, list(space.sites))] for _ in range(8)]
+        plan = BlockPlan(space.sites, states)
+        first = random_stack(rng, space, 3, space.sites)
+        second = random_stack(rng, space, 3, space.sites, mass=(0.3, 3.0))
+        a = plan(first)
+        kept = a.copy()
+        b = plan(second)
+        np.testing.assert_array_equal(a, kept)
+        np.testing.assert_allclose(a, kernel_oracle(first, space, space.sites, states), rtol=1e-12)
+        np.testing.assert_allclose(b, kernel_oracle(second, space, space.sites, states), rtol=1e-12)
+
+    @pytest.mark.parametrize("own", [True, False])
+    def test_support_sites_no_block_covers(self, own):
+        rng = np.random.default_rng(18)
+        space = TypeSpace((2, 3, 2, 3, 2))
+        support = space.sites
+        covered = [0, 2, 3]
+        states = [
+            [(b, None if own else int(rng.integers(2))) for b in random_blocks(rng, covered)]
+            for _ in range(5)
+        ]
+        stack = random_stack(rng, space, 2, support, mass=(0.5, 2.0))
+        got = block_products(stack, support, states)
+        assert got.shape == (5, 2 if own else 1, 12)
+        np.testing.assert_allclose(got, kernel_oracle(stack, space, support, states), rtol=1e-12)
+
+    def test_ct_rhs_five_sites(self):
+        from test_ctime import _brute_rhs
+
+        from recolat.ctime import ct_rhs
+
+        rng = np.random.default_rng(19)
+        for _ in range(3):
+            model = factories.random_ct_model(rng, 5, 3)
+            om = factories.random_metapop(rng, model.space, 3)
+            np.testing.assert_allclose(ct_rhs(om, model), _brute_rhs(om, model), rtol=1e-12, atol=1e-14)
 
 
 @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=8, max_size=8))

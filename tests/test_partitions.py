@@ -220,6 +220,17 @@ class TestInduced:
         p = Partition([[0, 1, 3], [2, 4], [5]])
         assert p.restrict([0, 2, 3, 4]).restrict([2, 3]) == p.restrict([2, 3])
 
+    def test_trusted_restriction_matches_constructor(self):
+        # restrict skips the validating constructor; it must build the same object
+        for n in range(1, 6):
+            for p in enumerate_partitions(range(n)):
+                for k in range(1, n + 1):
+                    for sub in itertools.combinations(range(n), k):
+                        got = p.restrict(sub)
+                        want = Partition([s for s in b if s in sub] for b in p.blocks if set(b) & set(sub))
+                        assert got == want and hash(got) == hash(want)
+                        assert got.blocks == want.blocks and type(got.blocks[0]) is tuple
+
     def test_errors(self):
         p = Partition([[0, 1]])
         with pytest.raises(ValueError, match="empty site set"):

@@ -75,6 +75,28 @@ def test_bad_horizon_rejected(route, t):
         HORIZON_ROUTES[route](t, mu0, model, ct)
 
 
+# the discrete routes, which count generations
+GENERATION_ROUTES = {
+    "iterate": lambda t, mu, m: iterate(mu, m, t),
+    "solve_linear": lambda t, mu, m: solve_linear(mu, m, t),
+    "duality_estimate": lambda t, mu, m: duality_estimate(0, mu, m, t, 10, seed=1),
+    "two_site_closed_form": lambda t, mu, m: two_site_closed_form(mu, m, t),
+    "absorption_tail": lambda t, mu, m: absorption_tail(m, t),
+}
+
+
+@pytest.mark.parametrize("route", sorted(GENERATION_ROUTES))
+def test_fractional_generation_count_rejected(route):
+    # such a horizon used to reach range() or matrix_power and raise TypeError
+    rng = np.random.default_rng(1504)
+    model = factories.two_site_model(rng, 2)
+    mu0 = factories.random_metapop(rng, model.space, 2)
+    with pytest.raises(ValueError, match="^a number of generations must be an integer, got 2.5$"):
+        GENERATION_ROUTES[route](2.5, mu0, model)
+    for whole in (2, np.int64(2)):
+        GENERATION_ROUTES[route](whole, mu0, model)
+
+
 def test_system_without_a_start_is_refused():
     # location 0 only ever draws from itself, so location 1's start is never reached
     space = TypeSpace((2, 2, 2))
