@@ -410,42 +410,26 @@ def _site_pass(masks: list, sizes: tuple):
     # per step: (site axes the kept part folds, its selection, the summed
     # part's selection or None); a selection is a slice or a take index
     passes = []
-    folded = []  # sites every block keeps, not yet passed
-    for j in reversed(range(-1, len(sizes))):
-        if j >= 0 and inter >> j & 1:
-            folded.append(j)
-            continue
-        if folded:  # one reshape folds them all
-            layout, total = _fold(layout, total, folded, sizes)
-            if passes and passes[-1][2] is None:
-                passes[-1] = (passes[-1][0] + len(folded), passes[-1][1], None)
-            else:
-                passes.append((len(folded), _ALL, None))
-            folded = []
-        if j < 0:
-            return passes, total, layout
-        bit = 1 << j
-        if union & bit:
+    for j in reversed(range(len(sizes))):
+        d, bit = sizes[j], 1 << j
+        if inter & bit:  # every block keeps the site
+            keep, s_keep, kept, drop, s_drop, dropped = _ALL, total, layout, None, 0, {}
+        elif union & bit:
             allowed = {b & -bit for b in need}  # the needed patterns of passed sites
             keep, s_keep, kept = _part(layout, total, [p for p in layout if p | bit in allowed])
             drop, s_drop, dropped = _part(layout, total, [p for p in layout if p in allowed])
         else:  # no block keeps the site
             keep, s_keep, kept, drop, s_drop, dropped = None, 0, {}, _ALL, total, layout
-        passes.append((0 if keep is None else 1, keep, drop))
-        layout = _fold(kept, s_keep, [j], sizes)[0]
+        if keep is _ALL and drop is None and passes and passes[-1][2] is None:
+            passes[-1] = (passes[-1][0] + 1, passes[-1][1], None)  # one reshape folds both
+        else:
+            passes.append((0 if keep is None else 1, keep, drop))
+        # a kept site becomes the slowest axis of its patterns
+        layout = {p | bit: (base, (s_keep,) + st, (d,) + dims) for p, (base, st, dims) in kept.items()}
         for p, (base, st, dims) in dropped.items():
-            layout[p] = (sizes[j] * s_keep + base, st, dims)
-        total = sizes[j] * s_keep + s_drop
-
-
-def _fold(layout: dict, total: int, sites: list, sizes: tuple):
-    """The layout, and its entry count, after every pattern keeps `sites`
-    (in pass order, last site first): each becomes a pattern's slowest
-    axis."""
-    bits, strides, dims = 0, (), ()
-    for j in sites:
-        bits, strides, dims, total = bits | 1 << j, (total,) + strides, (sizes[j],) + dims, total * sizes[j]
-    return {p | bits: (base, strides + st, dims + dm) for p, (base, st, dm) in layout.items()}, total
+            layout[p] = (d * s_keep + base, st, dims)
+        total = d * s_keep + s_drop
+    return passes, total, layout
 
 
 def _part(layout: dict, total: int, chosen: list):

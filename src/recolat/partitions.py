@@ -75,8 +75,10 @@ class Partition:
         """Induced partition on a non-empty subset of the base set. The
         blocks of a canonical partition cut down to the subset are disjoint
         and sorted, so they are only re-ordered, not validated again."""
-        v = _check_subset(sites, self.base_set)
-        kept = [cut for cut in (tuple(s for s in b if s in v) for b in self.blocks) if cut]
+        v = frozenset(sites)
+        kept = [cut for cut in (tuple(filter(v.__contains__, b)) for b in self.blocks) if cut]
+        if not v or sum(map(len, kept)) != len(v):
+            _check_subset(v, self.base_set)  # names what is wrong
         kept.sort(key=lambda b: b[0])
         part = object.__new__(Partition)
         object.__setattr__(part, "blocks", tuple(kept))
