@@ -263,25 +263,13 @@ class BlockPlan:
 
     Building the plan numbers the distinct (block, label) factors and
     records, per block slot (a state's first block, its second, ...), the
-    factor each state reads there. Compiling for the alphabet sizes then
-    plans the site pass and the gathers (`_site_pass`):
-
-    - A *pattern* is the set of already passed sites that a marginal keeps.
-      The pass holds the entries of every live pattern side by side on one
-      trailing axis, with one axis left per site not yet passed. Going from
-      the last site to the first, it folds the site into the entries of the
-      patterns that some needed block extends with it, sums it out of those
-      that some block extends without it, and drops the rest; a dropped
-      pattern costs a `take`, or a slice when the survivors form one range.
-      Each step is one sum, one concatenate and at most two selections.
-    - Every pattern's entries are an affine function of its letters, so
-      each factor's column in the table, at every letter tuple of the
-      output, is read off a strided view of the column numbers. Adding the
-      slot's half (raw for a first block, mass-normalised after it) gives
-      one gather index per slot and state, in the smallest unsigned dtype.
-
-    Evaluating runs the pass, lays out the table and, slot by slot, gathers
-    every state's factor and multiplies it into the products in place.
+    factor each state reads there. Compiling for the alphabet sizes plans
+    the site pass (`_site_pass`), after which every block marginal is an
+    affine function of its letters. So each factor's table column at every
+    output entry is read off a strided view of the column numbers, and
+    adding the slot's half (raw for a first block, mass-normalised after
+    it) gives one gather index per slot and state, in the smallest unsigned
+    dtype.
     """
 
     __slots__ = ("own", "masks", "factors", "labels", "codes", "empty", "sizes", "passes", "halves", "gathers")
@@ -398,7 +386,15 @@ def _site_pass(masks: list, sizes: tuple):
     """The pass over the sites of a stack with these alphabet sizes that
     leaves the marginal of every block in `masks` (site bitmasks) in one
     compact row per location: its steps, the row length, and the layout of
-    every mask's marginal in the row."""
+    every mask's marginal in the row.
+
+    A pattern is the set of already passed sites that a marginal keeps. The
+    pass holds the entries of every live pattern side by side on one
+    trailing axis, with one axis left per site not yet passed. Going from
+    the last site to the first, it folds the site into the entries of the
+    patterns that some needed block extends with it, sums it out of those
+    that some block extends without it, and drops the rest, by a slice when
+    the survivors form one range and by a `take` otherwise."""
     need = set(masks) or {0}
     union, inter = 0, -1
     for b in need:
