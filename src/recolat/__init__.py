@@ -11,7 +11,6 @@ from .partitions import (
     LabelledPartition,
     Partition,
     coarsest,
-    enumerate_labelled_partitions,
     enumerate_partitions,
     finest,
     is_refinement,
@@ -63,7 +62,6 @@ __all__ = [
     "LabelledPartition",
     "Partition",
     "coarsest",
-    "enumerate_labelled_partitions",
     "enumerate_partitions",
     "finest",
     "is_refinement",

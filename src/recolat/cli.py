@@ -128,34 +128,12 @@ class RunConfig:
     mode: str
     space: TypeSpace
     location_names: list[str]
-    recomb_entries: list[tuple[Partition, float]]
-    migration_doc: dict
     model: RecombinationModel | CtModel
     initial: Metapopulation
     t: int | float | None
     seed: int | None
     replicates: int | None
     dt: float | None
-
-    def to_doc(self) -> dict:
-        doc = {
-            "mode": self.mode,
-            "sites": list(self.space.alphabet_sizes),
-            "locations": list(self.location_names),
-            "recombination": [
-                {"blocks": partition_to_doc(p), "p": v} for p, v in self.recomb_entries
-            ],
-            "migration": self.migration_doc,
-            "initial": {
-                name: {"dense": [float(w) for w in self.initial[i].weights]}
-                for i, name in enumerate(self.location_names)
-            },
-        }
-        for key in ("t", "seed", "replicates", "dt"):
-            value = getattr(self, key)
-            if value is not None:
-                doc[key] = value
-        return doc
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -175,10 +153,11 @@ def parse_config(doc: dict) -> RunConfig:
     n = len(sites)
 
     raw_locations = _require(doc, "locations", "")
+    names = None  # a count names its locations once the migration matrix fits it
     if isinstance(raw_locations, int) and not isinstance(raw_locations, bool):
         if raw_locations < 1:
             raise ConfigError("locations", "need at least one location")
-        names = [str(i) for i in range(raw_locations)]
+        L = raw_locations
     elif isinstance(raw_locations, list) and raw_locations:
         names = []
         for i, name in enumerate(raw_locations):
@@ -187,14 +166,14 @@ def parse_config(doc: dict) -> RunConfig:
             names.append(name)
         if len(set(names)) != len(names):
             raise ConfigError("locations", "location names must be distinct")
+        L = len(names)
     else:
         raise ConfigError("locations", "expected a count or a list of names")
-    L = len(names)
 
     raw_recomb = _require(doc, "recombination", "")
     if not isinstance(raw_recomb, list) or not raw_recomb:
         raise ConfigError("recombination", "expected a non-empty list")
-    entries: list[tuple[Partition, float]] = []
+    accumulated: dict[Partition, float] = {}
     for i, item in enumerate(raw_recomb):
         path = f"recombination[{i}]"
         if not isinstance(item, dict):
@@ -203,7 +182,7 @@ def parse_config(doc: dict) -> RunConfig:
         if part.base_set != space.sites:
             raise ConfigError(f"{path}.blocks", "blocks must cover every site exactly once")
         p = _number(_require(item, "p", path), f"{path}.p", minimum=0.0)
-        entries.append((part, float(p)))
+        accumulated[part] = accumulated.get(part, 0.0) + float(p)
 
     raw_mig = _require(doc, "migration", "")
     if not isinstance(raw_mig, dict):
@@ -224,7 +203,6 @@ def parse_config(doc: dict) -> RunConfig:
 
     if has_backward:
         migration = matrix_from(raw_mig["backward"], "migration.backward")
-        migration_doc = {"backward": [[float(x) for x in row] for row in migration]}
     else:
         if mode == "continuous":
             raise ConfigError(
@@ -241,14 +219,9 @@ def parse_config(doc: dict) -> RunConfig:
             migration = backward_from_forward(fmat, np.asarray(sizes, dtype=float))
         except ValueError as exc:
             raise ConfigError("migration", str(exc)) from None
-        migration_doc = {
-            "forward": [[float(x) for x in row] for row in fmat],
-            "sizes": [float(c) for c in sizes],
-        }
 
-    accumulated: dict[Partition, float] = {}
-    for part, value in entries:
-        accumulated[part] = accumulated.get(part, 0.0) + value
+    if names is None:
+        names = [str(i) for i in range(L)]
     discrete = mode == "discrete"
     try:
         (checked_migration if discrete else checked_generator)(migration)
@@ -321,10 +294,7 @@ def parse_config(doc: dict) -> RunConfig:
         if dt == 0.0:
             raise ConfigError("dt", "must be positive")
 
-    return RunConfig(
-        mode, space, names, entries, migration_doc, model, initial,
-        t, seed, replicates, dt,
-    )
+    return RunConfig(mode, space, names, model, initial, t, seed, replicates, dt)
 
 
 class ResultTable:

@@ -121,12 +121,6 @@ class RecombinationModel:
     def sites(self) -> tuple[int, ...]:
         return self.space.sites
 
-    @property
-    def multiparent_partitions(self) -> tuple[Partition, ...]:
-        """Partitions in the support with more than two blocks (more than two
-        parents per offspring). Permitted; exposed so callers can flag them."""
-        return tuple(p for p in self.recomb if len(p) > 2)
-
     def marginal_recombination(self, sites: Iterable[int]) -> dict[Partition, float]:
         """Recombination distribution induced on a site subset: each support
         partition is restricted to the subset and the weights accumulated."""

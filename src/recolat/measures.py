@@ -14,6 +14,11 @@ lays the raw and mass-normalised rows side by side in one table, and forms
 each block slot's factors with one gather from that table. `tensor` stays
 as a measure-level utility.
 
+A metapopulation is the state every solver route works on: one read-only
+(locations, dim) matrix, one row per location, all on the same support. Its
+rows are checked once, by the same check a distribution makes of its weights,
+and `stack`, `as_array` and `mu[a]` read the matrix without copying it.
+
 A distribution with empty support is the scalar 1: the neutral factor of the
 tensor product. Constructors validate rather than repair: weights that are
 negative, NaN or do not sum to one (within tolerance) are rejected.
@@ -81,6 +86,35 @@ def _checked_support(space: TypeSpace, support: Iterable[int]) -> tuple[int, ...
     return tuple(int(s) for s in sup)
 
 
+def _checked_weights(space: TypeSpace, support: Iterable[int], w: np.ndarray, atol: float) -> tuple[int, ...]:
+    """The checked support of a weight vector, or of a matrix with one weight
+    vector per row, after refusing a wrong length and then the first row
+    with a negative or non-finite weight or a sum off one by more than
+    `atol`. `w` becomes read-only."""
+    sup = _checked_support(space, support)
+    if w.shape[-1] != space.dim(sup):
+        raise ValueError(
+            f"weights have length {w.shape[-1]}, support {sup} needs {space.dim(sup)}"
+        )
+    rows = w.reshape(-1, w.shape[-1])
+    low = rows.min(axis=1, initial=0.0)
+    total = rows.sum(axis=1)
+    bad = ~((low >= -atol) & (np.abs(total - 1.0) <= atol))
+    if bad.any():
+        i = bad.argmax()
+        if not low[i] >= -atol:
+            raise ValueError(f"negative or non-finite weight {low[i]:.3e}")
+        raise ValueError(f"weights sum to {total[i]}, not 1")
+    w.flags.writeable = False
+    return sup
+
+
+def _fill(obj, **fields) -> None:
+    """Set the fields of an immutable measure."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+
+
 class Distribution:
     """A probability vector over the product alphabet of a site subset."""
 
@@ -94,49 +128,12 @@ class Distribution:
         *,
         atol: float = 1e-12,
     ):
-        sup = _checked_support(space, support)
-        w = np.asarray(weights, dtype=float).reshape(-1).copy()
-        if w.shape != (space.dim(sup),):
-            raise ValueError(
-                f"weights have length {w.shape[0]}, support {sup} needs {space.dim(sup)}"
-            )
-        if not w.min(initial=0.0) >= -atol:
-            raise ValueError(f"negative or non-finite weight {w.min():.3e}")
-        total = w.sum()
-        if not abs(total - 1.0) <= atol:
-            raise ValueError(f"weights sum to {total}, not 1")
-        w.flags.writeable = False
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "support", sup)
-        object.__setattr__(self, "weights", w)
+        w = np.array(weights, dtype=float).reshape(-1)
+        sup = _checked_weights(space, support, w, atol)
+        _fill(self, space=space, support=sup, weights=w)
 
     def __setattr__(self, name, value):
         raise AttributeError("Distribution is immutable")
-
-    @classmethod
-    def point_mass(cls, space: TypeSpace, support: Iterable[int], letters: Sequence[int]) -> "Distribution":
-        sup = _checked_support(space, support)
-        if len(letters) != len(sup):
-            raise ValueError("one letter per support site required")
-        w = np.zeros(space.dim(sup))
-        idx = 0
-        for a, s in zip(letters, sup):
-            if not 0 <= a < space.alphabet_sizes[s]:
-                raise ValueError(f"letter {a} out of range at site {s}")
-            idx = idx * space.alphabet_sizes[s] + a
-        w[idx] = 1.0
-        return cls(space, sup, w)
-
-    @classmethod
-    def uniform(cls, space: TypeSpace, support: Iterable[int]) -> "Distribution":
-        sup = _checked_support(space, support)
-        k = space.dim(sup)
-        return cls(space, sup, np.full(k, 1.0 / k))
-
-    @classmethod
-    def scalar_one(cls, space: TypeSpace) -> "Distribution":
-        """The empty-support distribution, neutral under the tensor product."""
-        return cls(space, (), np.ones(1))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -189,9 +186,16 @@ def tensor(factors: Sequence[Distribution]) -> Distribution:
 
 
 class Metapopulation:
-    """One distribution per location, all on the same support."""
+    """One distribution per location, all on the same support, held as one
+    read-only (locations, dim) matrix.
 
-    __slots__ = ("dists",)
+    The matrix is checked once, when the state is made; `stack` and
+    `as_array` hand it out without a copy, and `mu[a]` is a view of row a,
+    not checked again, so rows that a route accepted at a looser tolerance
+    stay readable.
+    """
+
+    __slots__ = ("space", "support", "matrix")
 
     def __init__(self, dists: Iterable[Distribution]):
         ds = tuple(dists)
@@ -202,53 +206,56 @@ class Metapopulation:
         for d in ds[1:]:
             if d.support != sup or d.space != space:
                 raise ValueError("location distributions disagree on support")
-        object.__setattr__(self, "dists", ds)
+        m = np.stack([d.weights for d in ds])
+        m.flags.writeable = False
+        _fill(self, space=space, support=sup, matrix=m)
 
     def __setattr__(self, name, value):
         raise AttributeError("Metapopulation is immutable")
 
     @property
-    def space(self) -> TypeSpace:
-        return self.dists[0].space
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return self.dists[0].support
-
-    @property
     def num_locations(self) -> int:
-        return len(self.dists)
+        return len(self.matrix)
 
     def __getitem__(self, location: int) -> Distribution:
-        return self.dists[location]
+        row = object.__new__(Distribution)
+        _fill(row, space=self.space, support=self.support, weights=self.matrix[location])
+        return row
 
     def __iter__(self):
-        return iter(self.dists)
+        return (self[a] for a in range(len(self.matrix)))
 
     def __len__(self) -> int:
-        return len(self.dists)
+        return len(self.matrix)
 
     def marginalise(self, keep: Iterable[int]) -> "Metapopulation":
-        return Metapopulation(d.marginalise(keep) for d in self.dists)
+        return Metapopulation(d.marginalise(keep) for d in self)
 
     def stack(self) -> np.ndarray:
-        """Weights as a (locations, dim) matrix."""
-        return np.stack([d.weights for d in self.dists])
+        """Weights as a (locations, dim) matrix: the read-only matrix itself."""
+        return self.matrix
 
     def as_array(self) -> np.ndarray:
         """Weights as a (locations, *alphabet sizes) array, one axis per
-        support site."""
-        return self.stack().reshape((len(self.dists),) + self.dists[0].shape)
+        support site: a read-only view of the matrix."""
+        return self.matrix.reshape((len(self.matrix),) + self.space.shape(self.support))
 
     @classmethod
     def from_stack(
         cls, space: TypeSpace, support: Sequence[int], matrix, *, atol: float = 1e-12
     ) -> "Metapopulation":
-        m = np.asarray(matrix, dtype=float)
-        return cls(Distribution(space, support, row, atol=atol) for row in m)
+        """A copy of `matrix`, one row per location, each row checked as
+        `Distribution` checks its weights."""
+        m = np.array(matrix, dtype=float)
+        if m.ndim != 2 or not len(m):
+            raise ValueError("need a (locations, dim) matrix with at least one location")
+        sup = _checked_weights(space, support, m, atol)
+        mu = object.__new__(cls)
+        _fill(mu, space=space, support=sup, matrix=m)
+        return mu
 
     def __repr__(self) -> str:
-        return f"Metapopulation({len(self.dists)} locations, support={self.support})"
+        return f"Metapopulation({len(self.matrix)} locations, support={self.support})"
 
 
 _ALL = slice(None)  # a pass step that keeps every pattern of its part

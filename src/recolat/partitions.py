@@ -16,7 +16,6 @@ state spaces by this order.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator
 
 
@@ -223,18 +222,6 @@ def enumerate_partitions(sites: Iterable[int]) -> list[Partition]:
         for site, digit in zip(u, rgs):
             blocks[digit].append(site)
         out.append(Partition(blocks))
-    return out
-
-
-def enumerate_labelled_partitions(sites: Iterable[int], num_locations: int) -> list[LabelledPartition]:
-    """All labelled partitions: base partitions in enumeration order, then
-    label vectors in mixed-radix order with the first block slowest."""
-    if num_locations < 1:
-        raise ValueError("need at least one location")
-    out = []
-    for p in enumerate_partitions(sites):
-        for labels in itertools.product(range(num_locations), repeat=len(p)):
-            out.append(LabelledPartition(zip(p.blocks, labels)))
     return out
 
 

@@ -1,14 +1,17 @@
 """Brute-force reference implementations used to pin expected values.
 
 Everything here is written independently of the library internals: different
-algorithms, no shared helpers, numpy only for plain array arithmetic. Slow is
-fine; these run on tiny inputs.
+algorithms, no shared helpers, numpy only for plain array arithmetic; the
+library's LabelledPartition is only the type `enumerate_labelled_partitions`
+returns. Slow is fine; these run on tiny inputs.
 """
 
 import itertools
 from functools import lru_cache, reduce
 
 import numpy as np
+
+from recolat.partitions import LabelledPartition
 
 
 # ---------------------------------------------------------------- counting
@@ -64,6 +67,25 @@ def brute_partitions(sites):
                     out.append(sub | {block})
             else:
                 out.append(frozenset({block}))
+    return out
+
+
+def enumerate_labelled_partitions(sites, num_locations):
+    """All location-labelled partitions of `sites` as LabelledPartitions:
+    base partitions of `brute_partitions` sorted by restricted growth
+    string, then label vectors in mixed-radix order, first block slowest."""
+    if num_locations < 1:
+        raise ValueError("need at least one location")
+
+    def growth_string(part):
+        owner = {s: i for i, b in enumerate(sorted(part, key=min)) for s in b}
+        return tuple(owner[s] for s in sorted(owner))
+
+    out = []
+    for part in sorted(brute_partitions(sites), key=growth_string):
+        blocks = [tuple(sorted(b)) for b in sorted(part, key=min)]
+        for labels in itertools.product(range(num_locations), repeat=len(blocks)):
+            out.append(LabelledPartition(zip(blocks, labels)))
     return out
 
 

@@ -11,6 +11,7 @@ import copy
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -19,6 +20,8 @@ import pytest
 
 import recolat
 from recolat.cli import ConfigError, main, parse_config
+from recolat.forward import backward_from_forward
+from recolat.partitions import Partition
 
 
 BASE = {
@@ -103,25 +106,26 @@ def csv_values(text):
 
 
 class TestParseConfig:
-    def test_minimal_doc_round_trips(self):
+    def test_minimal_doc_parses(self):
         config = parse_config(copy.deepcopy(BASE))
-        doc = config.to_doc()
-        again = parse_config(doc)
-        assert np.array_equal(config.model.migration, again.model.migration)
-        assert config.model.recomb == again.model.recomb
-        np.testing.assert_array_equal(config.initial.stack(), again.initial.stack())
-        # canonical form is a fixed point of re-serialisation
-        assert again.to_doc() == doc
+        assert config.location_names == ["left", "right"]
+        assert np.array_equal(config.model.migration, BASE["migration"]["backward"])
+        assert config.model.recomb == {Partition([[0, 1]]): 0.6, Partition([[0], [1]]): 0.4}
+        np.testing.assert_array_equal(
+            config.initial.stack(), [[0.4, 0.1, 0.2, 0.3], [0.125, 0.375, 0.125, 0.375]]
+        )
+        assert (config.t, config.seed, config.replicates, config.dt) == (5, 7, 400, None)
 
-    def test_round_trip_preserves_forward_input_form(self):
+    def test_forward_input_form_parses_to_backward(self):
         doc = copy.deepcopy(BASE)
         doc["migration"] = {
             "forward": [[0.9, 0.1], [0.2, 0.8]],
             "sizes": [2.0, 1.0],
         }
         config = parse_config(doc)
-        assert "forward" in config.to_doc()["migration"]
-        assert parse_config(config.to_doc()).model.recomb == config.model.recomb
+        want = backward_from_forward([[0.9, 0.1], [0.2, 0.8]], [2.0, 1.0])
+        assert np.array_equal(config.model.migration, want)
+        assert config.model.recomb == parse_config(copy.deepcopy(BASE)).model.recomb
 
     def test_location_count_generates_names(self):
         doc = copy.deepcopy(BASE)
@@ -268,6 +272,25 @@ class TestParseConfig:
         assert caught.value.path == field
         code, out, err = run_cli([command, "--config", write_config(tmp_path, doc)])
         assert (code, out, err) == (1, "", f"error: {field}: {HUGE}\n")
+
+    def test_huge_location_count_fails_on_the_migration_matrix(self, tmp_path):
+        # a count used to build one name per location before any other
+        # check, so this one took all memory and died with a MemoryError
+        doc = {**BASE, "locations": 10**12}
+        src = os.path.dirname(os.path.dirname(recolat.__file__))
+        script = "import sys; from recolat.cli import main; sys.exit(main(sys.argv[1:]))"
+        limit = 1 << 30
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        done = subprocess.run(
+            [sys.executable, "-c", script, "iterate", "--config", write_config(tmp_path, doc)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=120, preexec_fn=cap_address_space,
+        )
+        message = "error: migration.backward: expected a 1000000000000x1000000000000 matrix\n"
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
 
     def test_forward_needs_sizes(self):
         doc = copy.deepcopy(BASE)

@@ -75,13 +75,13 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="negative"):
             RecombinationModel(ts, rec, [[1.1, -0.1], [0.0, 1.0]])
 
-    def test_multiparent_partitions_flagged_not_rejected(self):
+    def test_multiparent_partitions_accepted(self):
         ts = TypeSpace((2, 2, 2))
         three_blocks = Partition([[0], [1], [2]])
         model = RecombinationModel(ts, {three_blocks: 1.0}, np.eye(2))
-        assert model.multiparent_partitions == (three_blocks,)
+        assert model.recomb == {three_blocks: 1.0}
         two_blocks = factories.two_site_model(RNG, 2)
-        assert two_blocks.multiparent_partitions == ()
+        assert max(map(len, two_blocks.recomb)) == 2
 
 
 def _random_migration(rng, locations):

@@ -1,0 +1,47 @@
+"""Source hygiene: every module-level import of the package is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "recolat"
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by module-level imports that the module never reads. A
+    name counts as read when code loads it, when a string annotation names
+    it, or when `__all__` re-exports it."""
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        for part in ast.walk(annotation) if annotation else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                parsed = ast.parse(part.value, mode="eval")
+                used.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_detects_an_unused_import():
+    tree = ast.parse(
+        "import os\nimport sys\nfrom typing import Any, List\n"
+        "x: 'List[int]' = []\n__all__ = ['Any']\nprint(sys.argv)\n"
+    )
+    assert unused_imports(tree) == ["os"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_level_imports_are_used(path):
+    assert unused_imports(ast.parse(path.read_text(), str(path))) == []

@@ -14,6 +14,7 @@ from recolat.measures import (
     recombinator,
     tensor,
 )
+from recolat.ctime import integrate
 from recolat.partitions import LabelledPartition, whole_labelled
 
 import factories
@@ -50,11 +51,11 @@ class TestTypeSpace:
 class TestDistributionConstruction:
     def test_mixed_radix_first_site_slowest(self):
         ts = TypeSpace((2, 2, 2))
-        d = Distribution.point_mass(ts, (0, 1, 2), (1, 0, 1))
-        assert d.weights[5] == 1.0  # 1*4 + 0*2 + 1
+        d = Distribution(ts, (0, 1, 2), np.eye(8)[5])
+        assert d.as_array()[1, 0, 1] == 1.0  # 1*4 + 0*2 + 1
         ts2 = TypeSpace((2, 3))
-        d2 = Distribution.point_mass(ts2, (0, 1), (1, 2))
-        assert d2.weights[5] == 1.0  # 1*3 + 2
+        d2 = Distribution(ts2, (0, 1), np.eye(6)[5])
+        assert d2.as_array()[1, 2] == 1.0  # 1*3 + 2
 
     def test_rejects_unnormalised(self):
         ts = TypeSpace((2,))
@@ -99,7 +100,7 @@ class TestDistributionConstruction:
 
     def test_scalar_one(self):
         ts = TypeSpace((2, 2))
-        one = Distribution.scalar_one(ts)
+        one = Distribution(ts, (), [1.0])
         assert one.support == ()
         assert one.weights.tolist() == [1.0]
 
@@ -170,7 +171,7 @@ class TestTensor:
     def test_scalar_one_neutral(self):
         ts = TypeSpace((2, 2))
         d = random_dist(ts, ts.sites)
-        got = tensor([Distribution.scalar_one(ts), d])
+        got = tensor([Distribution(ts, (), [1.0]), d])
         np.testing.assert_allclose(got.weights, d.weights)
 
     def test_marginal_onto_factor_recovers_it(self):
@@ -210,6 +211,53 @@ class TestMetapopulation:
         again = Metapopulation.from_stack(ts, mu.support, mu.stack())
         for a in range(3):
             np.testing.assert_array_equal(again[a].weights, mu[a].weights)
+
+    def test_stack_is_the_one_read_only_matrix(self):
+        ts = TypeSpace((2, 3))
+        mu = random_metapop(ts, 2)
+        assert mu.stack() is mu.stack()
+        assert mu.as_array().shape == (2, 2, 3)
+        assert np.shares_memory(mu.as_array(), mu.stack())
+        assert all(np.shares_memory(d.weights, mu.stack()) for d in mu)
+        with pytest.raises(ValueError, match="read-only"):
+            mu.stack()[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            mu[1].weights[0] = 0.5
+
+    def test_from_stack_builds_no_distribution_and_copies(self, monkeypatch):
+        rows = np.random.default_rng(1616).dirichlet(np.ones(4), size=3)
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("from_stack built a Distribution")
+
+        monkeypatch.setattr(Distribution, "__init__", refuse)
+        mu = Metapopulation.from_stack(TypeSpace((2, 2)), (0, 1), rows)
+        before = rows.copy()
+        rows[0] = 0.25
+        assert rows.flags.writeable
+        np.testing.assert_array_equal(mu.stack(), before)
+        assert [d.weights.tolist() for d in mu] == before.tolist()
+
+    def test_rows_accepted_at_a_loose_tolerance_stay_readable(self):
+        # RK4 states are accepted at 1e-7; the rows must read back although
+        # a Distribution would refuse them at its default 1e-12
+        rng = np.random.default_rng(1617)
+        model = factories.random_ct_model(rng, 2, 2)
+        rows = rng.dirichlet(np.ones(4), size=2) * (1.0 + 5e-8)
+        omega = Metapopulation.from_stack(model.space, model.sites, rows, atol=1e-7)
+        with pytest.raises(ValueError, match="sum"):
+            Distribution(model.space, model.sites, omega[0].weights)
+        assert [d.weights.tolist() for d in omega] == omega.stack().tolist()
+        final = integrate(omega, model, 0.5, 0.05).final
+        for a in range(2):
+            np.testing.assert_array_equal(final[a].weights, final.stack()[a])
+            assert abs(final[a].weights.sum() - 1.0) > 1e-12
+
+    def test_bad_second_row_reported_with_its_own_value(self):
+        ts = TypeSpace((2,))
+        with pytest.raises(ValueError, match=r"^weights sum to 1\.1, not 1$"):
+            Metapopulation.from_stack(ts, (0,), [[0.5, 0.5], [0.3, 0.8]])
+        with pytest.raises(ValueError, match=r"^negative or non-finite weight -2\.000e-01$"):
+            Metapopulation.from_stack(ts, (0,), [[0.5, 0.5], [1.2, -0.2], [0.3, 0.8]])
 
 
 class TestRecombinator:

@@ -7,7 +7,6 @@ from recolat.partitions import (
     LabelledPartition,
     Partition,
     coarsest,
-    enumerate_labelled_partitions,
     enumerate_partitions,
     finest,
     is_refinement,
@@ -121,21 +120,21 @@ class TestEnumeration:
 
 class TestLabelledEnumeration:
     def test_frozen_counts(self):
-        assert len(enumerate_labelled_partitions([0, 1], 2)) == 6
-        assert len(enumerate_labelled_partitions([0, 1, 2], 3)) == 57
+        assert len(oracles.enumerate_labelled_partitions([0, 1], 2)) == 6
+        assert len(oracles.enumerate_labelled_partitions([0, 1, 2], 3)) == 57
 
     def test_count_formula(self):
         for m, loc in itertools.product((1, 2, 3, 4), (1, 2, 3)):
-            got = len(enumerate_labelled_partitions(range(m), loc))
+            got = len(oracles.enumerate_labelled_partitions(range(m), loc))
             assert got == oracles.labelled_partition_count(m, loc)
 
     def test_all_distinct_and_labels_in_range(self):
-        lps = enumerate_labelled_partitions(range(3), 2)
+        lps = oracles.enumerate_labelled_partitions(range(3), 2)
         assert len(set(lps)) == len(lps)
         assert all(0 <= l < 2 for lp in lps for l in lp.labels)
 
     def test_grouped_by_base_in_partition_order(self):
-        lps = enumerate_labelled_partitions(range(3), 2)
+        lps = oracles.enumerate_labelled_partitions(range(3), 2)
         bases = [lp.base for lp in lps]
         order = enumerate_partitions(range(3))
         ranks = [order.index(b) for b in bases]
@@ -245,7 +244,7 @@ class TestUnionOverBlocks:
 
     def exhaustive_family(self, delta, locations):
         per_block = [
-            enumerate_labelled_partitions(d, locations) for d in delta.blocks
+            oracles.enumerate_labelled_partitions(d, locations) for d in delta.blocks
         ]
         for combo in itertools.product(*per_block):
             yield dict(zip(delta.blocks, combo))
@@ -259,7 +258,7 @@ class TestUnionOverBlocks:
 
     @pytest.mark.parametrize("m,locations", [(2, 2), (3, 2), (4, 2), (4, 3)])
     def test_bijection_with_labelled_refinements(self, m, locations):
-        all_lps = enumerate_labelled_partitions(range(m), locations)
+        all_lps = oracles.enumerate_labelled_partitions(range(m), locations)
         for delta in enumerate_partitions(range(m)):
             refining = [
                 lp for lp in all_lps if is_refinement(lp.base, delta)
