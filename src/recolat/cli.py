@@ -470,7 +470,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 1
     if isinstance(doc, dict):

@@ -5,8 +5,8 @@ Markov generator over locations plus, for every partition with positive
 rate, a recombination drift towards the corresponding product measure.
 Three routes to the solution live here: fixed-step RK4 on the ODE, the
 exact linearisation through the generator of the labelled partitioning
-jump process (solved with a matrix exponential), and for two sites a
-one-dimensional integral formula evaluated by adaptive Simpson quadrature.
+jump process (solved with a matrix exponential), and for two sites one
+exponential of a small block generator (L whole, L**2 split states).
 Splitting and relabelling are separate jump events: fragments of a split
 block keep their parent's label until a relabel event moves them. The
 generator is assembled by `linear.closure`, the routine that also builds the
@@ -36,7 +36,7 @@ import numpy as np
 
 from .forward import check_horizon, check_initial, checked_weights, induced_law
 from .linear import LinearSystem, checked_starts, closure, start_rows
-from .lpp import replicate_rng
+from .lpp import _two_site_chain, replicate_rng
 from .measures import BlockPlan, Metapopulation, TypeSpace
 from .partitions import LabelledPartition, Partition, glued_labelled
 
@@ -206,62 +206,28 @@ def ct_solve_dual(
     return start_rows(expm(t * generator.matrix), omega0, model, generator)
 
 
-def _adaptive_simpson(f, a, b, tol):
-    """Vector-valued adaptive Simpson to absolute (max-norm) tolerance."""
-
-    def simpson(fa, fm, fb, h):
-        return (h / 6.0) * (fa + 4.0 * fm + fb)
-
-    def recurse(a, fa, m, fm, b, fb, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        left = simpson(fa, flm, fm, m - a)
-        right = simpson(fm, frm, fb, b - m)
-        err = np.abs(left + right - whole).max()
-        if err < 15.0 * tol or depth >= 40:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a, fa, lm, flm, m, fm, left, 0.5 * tol, depth + 1) + recurse(
-            m, fm, rm, frm, b, fb, right, 0.5 * tol, depth + 1
-        )
-
-    if b <= a:
-        return np.zeros_like(f(a))
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    return recurse(a, fa, m, fm, b, fb, simpson(fa, fm, fb, b - a), tol, 0)
-
-
 def ct_two_site(omega0: Metapopulation, model: CtModel, t: float) -> Metapopulation:
-    """Two-site solution by conditioning on the last splitting time: a
-    no-split term plus an integral over the split time, each factor a plain
-    matrix exponential of the migration generator."""
+    """Two-site solution: the exponential of the block chain's generator
+    [[G - rho I, rho S], [0, G kron I + I kron G]] applied to the start
+    vector of `lpp._two_site_chain`; its whole-state rows are the answer. A
+    whole state splits at rate rho, both halves keeping its label, and the
+    halves of a split migrate independently (Van Loan's block form of the
+    integral over the split time)."""
     from scipy.linalg import expm  # scipy loads only for the routes that need it
 
     if model.num_sites != 2:
         raise ValueError("closed-form solution requires exactly two sites")
     check_horizon(t)
     check_initial(omega0, model, full=True)
-    fin = Partition([(model.sites[0],), (model.sites[1],)])
-    rho = model.rates.get(fin, 0.0)
+    rho = model.rates.get(Partition([(model.sites[0],), (model.sites[1],)]), 0.0)
     gen = model.generator
-    stack0 = omega0.stack()
-    shape = model.space.shape(model.sites)
-    term1 = np.exp(-rho * t) * (expm(t * gen) @ stack0)
-    if rho > 0 and t > 0:
-        split = BlockPlan(model.sites, [[(b, None) for b in fin.blocks]])
-
-        def integrand(sigma):
-            mixed = expm((t - sigma) * gen) @ stack0
-            prod = split(mixed.reshape((-1,) + shape))[0]
-            weights = np.exp(-rho * sigma) * expm(sigma * gen)
-            return (weights @ prod).reshape(-1)
-
-        integral = _adaptive_simpson(integrand, 0.0, t, 1e-10)
-        term1 = term1 + rho * integral.reshape(term1.shape)
-    return Metapopulation.from_stack(model.space, model.sites, term1, atol=1e-8)
+    nloc = model.num_locations
+    start, select = _two_site_chain(omega0)
+    eye = np.eye(nloc)
+    pair = np.kron(gen, eye) + np.kron(eye, gen)
+    chain = np.block([[gen - rho * eye, rho * select], [np.zeros((nloc**2, nloc)), pair]])
+    out = (expm(t * chain) @ start)[:nloc]
+    return Metapopulation.from_stack(model.space, model.sites, out, atol=1e-8)
 
 
 @dataclass(frozen=True)

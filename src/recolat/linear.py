@@ -200,7 +200,7 @@ def start_rows(
     """Rows of the propagated law `law` (T^t or expm(tQ) over the states of
     `system`) at the single-block starts, applied to the recombinator vector
     of `mu0`: the metapopulation at time t."""
-    check_initial(mu0, model)
+    check_initial(mu0, model, full=True)
     rows = [system.pos.get(s) for s in default_starts(model)]
     if None in rows:
         raise ValueError(f"the system lacks the single-block start of location {rows.index(None)}")

@@ -1,5 +1,5 @@
 """Monte Carlo over the block-splitting location process, and the two-site
-closed form.
+closed form as one matrix power of that process's small block chain.
 
 The process runs backwards through the generations: a state is a labelled
 partition, each block tracking a segment of sites and the location of the
@@ -29,7 +29,7 @@ import numpy as np
 
 from .forward import RecombinationModel, check_horizon, check_initial
 from .linear import build_recombinator_vector, checked_starts, matrix_power
-from .measures import BlockPlan, Distribution, Metapopulation
+from .measures import Distribution, Metapopulation
 from .partitions import LabelledPartition, Partition, _by_block_min, whole_labelled
 
 _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -239,7 +239,7 @@ def duality_estimate(
     check_horizon(t, generations=True)
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    check_initial(mu0, model)
+    check_initial(mu0, model, full=True)
     n = model.num_sites
     # rows as big-endian uint16 bytes, whose memcmp order is the rows'
     # lexicographic order, the `sort_key` order (site and label numbers fit
@@ -274,32 +274,39 @@ def duality_estimate(
     return DualityEstimate(est, stderr, replicates, counts)
 
 
+def _two_site_chain(mu0: Metapopulation) -> tuple[np.ndarray, np.ndarray]:
+    """Two-site block chain over the L whole states @j, then the L**2 split
+    states {0}@j|{1}@k in (j, k) order: its start vector (mu0's rows stacked
+    on the products of mu0's site-0 marginal at j and site-1 marginal at k)
+    and the (L, L**2) selection S of the split {0}@a|{1}@a of each @a."""
+    w = mu0.as_array()
+    nloc = len(w)
+    prods = np.einsum("ja,kb->jkab", w.sum(axis=2), w.sum(axis=1))
+    start = np.concatenate([w.reshape(nloc, -1), prods.reshape(nloc * nloc, -1)])
+    return start, np.eye(nloc * nloc)[:: nloc + 1]
+
+
 def two_site_closed_form(
     mu0: Metapopulation, model: RecombinationModel, t: int
 ) -> Metapopulation:
-    """Exact two-site solution: a geometric number of whole-segment
-    generations, then one split whose halves migrate independently.
+    """Exact two-site solution: the t-th power of the block chain's matrix
+    [[r_whole M, r_split S (M kron M)], [0, M kron M]] applied to the start
+    vector of `_two_site_chain`; its whole-state rows are the answer. A
+    whole state stays whole with probability r_whole, and the halves of a
+    split migrate independently.
 
     Only defined for models with exactly two sites.
     """
     if model.num_sites != 2:
         raise ValueError("closed form requires exactly two sites")
     check_horizon(t, generations=True)
-    check_initial(mu0, model)
+    check_initial(mu0, model, full=True)
     r_whole = model.recomb.get(Partition([(0, 1)]), 0.0)
     r_split = model.recomb.get(Partition([(0,), (1,)]), 0.0)
     mig = model.migration
     nloc = model.num_locations
-    space = mu0.space
-
-    powers = [matrix_power(mig, k) for k in range(t + 1)]
-    stack0 = mu0.stack()
-    shape = (nloc,) + space.shape(mu0.support)
-    split = BlockPlan(mu0.support, [[((0,), None), ((1,), None)]])
-    acc = (r_whole**t) * (powers[t] @ stack0)
-    for sigma in range(1, t + 1):
-        coeff = r_whole ** (sigma - 1) * r_split
-        moved = (powers[t - sigma + 1] @ stack0).reshape(shape)
-        cross = split(moved)[0]
-        acc += coeff * (powers[sigma - 1] @ cross)
-    return Metapopulation.from_stack(space, mu0.support, acc, atol=1e-9)
+    start, select = _two_site_chain(mu0)
+    pair = np.kron(mig, mig)
+    chain = np.block([[r_whole * mig, r_split * select @ pair], [np.zeros((nloc**2, nloc)), pair]])
+    acc = (matrix_power(chain, t) @ start)[:nloc]
+    return Metapopulation.from_stack(mu0.space, mu0.support, acc, atol=1e-9)

@@ -526,6 +526,16 @@ class TestExitCodes:
         code, _, err = run_cli(["iterate", "--config", str(path)])
         assert code == 1 and "not valid JSON" in err
 
+    def test_huge_integer_is_one_line(self, tmp_path):
+        # Python refuses to convert an integer literal this long with a plain
+        # ValueError, which used to escape as a traceback
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(BASE).replace('"t": 5', '"t": ' + "9" * 5000))
+        code, out, err = run_cli(["iterate", "--config", str(path)])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: config is not valid JSON: ")
+
     def test_limit_surfaces_module_errors(self, tmp_path):
         doc = copy.deepcopy(BASE)
         doc["migration"] = {"backward": [[0.0, 1.0], [1.0, 0.0]]}  # period 2

@@ -1,4 +1,4 @@
-"""Continuous-time solvers: RK4, generator exponential, two-site integral."""
+"""Continuous-time solvers: RK4, generator exponential, two-site block exponential."""
 
 import numpy as np
 import pytest
@@ -449,6 +449,21 @@ class TestTwoSite:
         om = factories.random_metapop(RNG, model.space, 2)
         out = ct_two_site(om, model, 0.0)
         assert np.abs(out.stack() - om.stack()).max() < 1e-14
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_dual_exponential(self, seed):
+        # both are one matrix exponential, with no quadrature error on top
+        rng = np.random.default_rng(4100 + seed)
+        locations = 1 + seed % 4
+        space = TypeSpace((2 + seed % 2, 2 + seed // 10))
+        rho = (0.3, 1.7, 5.0, 12.0)[seed // 4 % 4]
+        model = CtModel(space, {finest((0, 1)): rho}, _conservative(rng.random((locations,) * 2)))
+        om = factories.random_metapop(rng, space, locations)
+        gen = build_generator(model)
+        for t in (0.6, 5.0, 11.0):
+            got = ct_two_site(om, model, t).stack()
+            want = ct_solve_dual(om, model, t, generator=gen).stack()
+            assert np.abs(got - want).max() < 1e-14, t
 
 
 class TestJumpSampler:

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import of the package is used."""
+"""Source hygiene: every module-level import of the package is used, and
+every private module-level name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -40,6 +41,42 @@ def test_detects_an_unused_import():
         "x: 'List[int]' = []\n__all__ = ['Any']\nprint(sys.argv)\n"
     )
     assert unused_imports(tree) == ["os"]
+
+
+def unread_private_names(trees: list[ast.Module]) -> list[str]:
+    """Private (single-underscore) functions, classes and constants defined at
+    module level that no module reads. A read is a loaded name, an attribute
+    or an imported name."""
+    defined, read = [], set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [t.id for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    private = [n for n in defined if n.startswith("_") and not n.startswith("__")]
+    return [name for name in private if name not in read]
+
+
+def test_detects_an_unread_private_name():
+    trees = [
+        ast.parse("_LIMIT = 3\n_cache: dict = {}\ndef _left(): pass\nclass _Used: pass\n"),
+        ast.parse("from a import _Used\nimport a\nprint(a._cache)\n__all__ = []\n"),
+    ]
+    assert unread_private_names(trees) == ["_LIMIT", "_left"]
+
+
+def test_private_module_level_names_are_read():
+    paths = sorted(SRC.glob("*.py"))
+    assert unread_private_names([ast.parse(p.read_text(), str(p)) for p in paths]) == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from recolat.forward import RecombinationModel, iterate
-from recolat.linear import build_linear_system
+from recolat.linear import build_linear_system, solve_linear
 from recolat.lpp import (
     CHUNK,
     DualityEstimate,
@@ -371,3 +371,24 @@ class TestTwoSiteClosedForm:
         mu0 = factories.random_metapop(RNG, model.space, 2)
         with pytest.raises(ValueError, match="two sites"):
             two_site_closed_form(mu0, model, 3)
+
+    @pytest.mark.parametrize("locations", [1, 2, 3, 4])
+    def test_matches_linear_system(self, locations):
+        # one power of the block chain stays exact at long horizons too,
+        # where a sum over the split time gathers round-off
+        rng = np.random.default_rng(3100 + locations)
+        for sizes in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+            space = TypeSpace(sizes)
+            split = float(rng.uniform(0.1, 0.9))
+            mig = rng.random((locations, locations)) + 0.1
+            model = RecombinationModel(
+                space,
+                {Partition([(0, 1)]): 1.0 - split, finest(range(2)): split},
+                mig / mig.sum(axis=1, keepdims=True),
+            )
+            mu0 = factories.random_metapop(rng, space, locations)
+            system = build_linear_system(model)
+            for t in (0, 1, 50, 5000):
+                got = two_site_closed_form(mu0, model, t).stack()
+                want = solve_linear(mu0, model, t, system=system).stack()
+                assert np.abs(got - want).max() < 1e-14, (sizes, t)

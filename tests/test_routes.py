@@ -1,6 +1,6 @@
-"""Input checks that every solution route shares: the location count of the
-initial state, the horizon, and a linear system that lacks a location's
-start."""
+"""Input checks that every solution route shares: the location count and
+support of the initial state, the horizon, and a linear system that lacks a
+location's start. Also the semigroup law that every exact route obeys."""
 
 import numpy as np
 import pytest
@@ -63,6 +63,23 @@ def test_wrong_location_count_rejected(route, locations):
         ROUTES[route](mu0, model, ct)
 
 
+# the routes of ROUTES that read every site of the initial state; the forward
+# step and iteration also run the induced dynamics on a site subset
+FULL_SUPPORT_ROUTES = sorted(set(ROUTES) - {"iterate", "step", "marginal_step"})
+
+
+@pytest.mark.parametrize("route", FULL_SUPPORT_ROUTES)
+def test_initial_state_on_fewer_sites_rejected(route):
+    # solve_linear, duality_estimate and two_site_closed_form used to raise a
+    # bare KeyError from the recombinator kernel here
+    rng = np.random.default_rng(1505)
+    model = factories.two_site_model(rng, 2)
+    ct = factories.random_ct_model(rng, 2, 2)
+    mu0 = factories.random_metapop(rng, model.space, 2).marginalise([1])
+    with pytest.raises(ValueError, match="^initial state must cover all sites$"):
+        ROUTES[route](mu0, model, ct)
+
+
 @pytest.mark.parametrize("t", [-1, float("nan")])
 @pytest.mark.parametrize("route", sorted(HORIZON_ROUTES))
 def test_bad_horizon_rejected(route, t):
@@ -114,3 +131,27 @@ def test_system_without_a_start_is_refused():
     assert whole_labelled(ct.sites, 1) not in gen.pos
     with pytest.raises(ValueError, match="start of location 1"):
         ct_solve_dual(mu0, ct, 0.5, generator=gen)
+
+
+# each exact route as a map (initial state, model, horizon) -> state at that
+# horizon, with a seeded model of at most three sites and two horizons s, t
+FLOWS = {
+    "solve_linear": (lambda rng: factories.random_model(rng, 3, 2), solve_linear, 2, 3),
+    "two_site_closed_form": (
+        lambda rng: factories.two_site_model(rng, 3), two_site_closed_form, 4, 7
+    ),
+    "ct_solve_dual": (lambda rng: factories.random_ct_model(rng, 3, 2), ct_solve_dual, 0.4, 0.9),
+    "ct_two_site": (lambda rng: factories.random_ct_model(rng, 2, 3, 4.0), ct_two_site, 0.7, 2.5),
+}
+
+
+@pytest.mark.parametrize("route", sorted(FLOWS))
+def test_flow_is_a_semigroup(route):
+    # solving t from the state at s is solving s + t from the start
+    make, solve, s, t = FLOWS[route]
+    rng = np.random.default_rng(1506)
+    model = make(rng)
+    mu0 = factories.random_metapop(rng, model.space, model.num_locations)
+    twice = solve(solve(mu0, model, s), model, t).stack()
+    once = solve(mu0, model, s + t).stack()
+    assert np.abs(twice - once).max() < 1e-13
