@@ -103,9 +103,11 @@ def limit_metapopulation(mu0: Metapopulation, model: RecombinationModel) -> Meta
     return Metapopulation([limit] * model.num_locations)
 
 
-def _transient(states, matrix, start, num_sites):
-    """The closure restricted to the states not yet fully split, with the
-    unit vector of `start` over them (zero when `start` is fully split)."""
+def _transient(states, matrix, start):
+    """The closure restricted to the states not yet fully split on the sites
+    `start` covers, with the unit vector of `start` over them (zero when
+    `start` is fully split)."""
+    num_sites = len(start.base_set)
     keep = [i for i, s in enumerate(states) if len(s) < num_sites]
     kept = [states[i] for i in keep]
     v = np.zeros(len(keep))
@@ -126,7 +128,7 @@ def absorption_tail(
     check_horizon(t_max, generations=True)
     if start is None:
         start = coarsest(model.sites)
-    _, sub, v = _transient(*build_base_matrix(model, start), start, model.num_sites)
+    _, sub, v = _transient(*build_base_matrix(model, start), start)
     out = np.empty(t_max + 1)
     for t in range(t_max + 1):
         out[t] = v.sum()
@@ -183,7 +185,7 @@ def qld(model: RecombinationModel, start: Partition | None = None) -> QldReport:
     """
     if start is None:
         start = coarsest(model.sites)
-    transient, sub, v = _transient(*build_base_matrix(model, start), start, model.num_sites)
+    transient, sub, v = _transient(*build_base_matrix(model, start), start)
     if not transient:
         raise ValueError("quasi-limit undefined: the start state is already fully split")
     diag = sub.diagonal()
@@ -236,7 +238,7 @@ def conditioned_law(
     if start is None:
         start = whole_labelled(model.sites, 0)
     system = build_linear_system(model, starts=[start])
-    kept_states, sub, v = _transient(system.states, system.matrix, start, model.num_sites)
+    kept_states, sub, v = _transient(system.states, system.matrix, start)
     if not v.any():
         raise ValueError("conditioning event has probability zero")
     for _ in range(t):

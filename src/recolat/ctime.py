@@ -72,7 +72,7 @@ class CtModel:
         object.__setattr__(self, "generator", checked_generator(generator))
         # keeping everything together changes nothing, so only splits pull
         split = [part for part in clean if len(part) > 1]
-        plan = BlockPlan(space.sites, [[(b, None) for b in part.blocks] for part in split])
+        plan = BlockPlan(space.sites, [part.blocks for part in split])
         rhos = np.array([clean[p] for p in split])
         object.__setattr__(self, "_pulls", (plan, rhos, rhos.sum()))
         object.__setattr__(self, "_marginal_cache", {})

@@ -70,7 +70,10 @@ def checked_migration(migration) -> np.ndarray:
 
 
 def check_initial(mu: Metapopulation, model, *, full: bool = False) -> None:
-    """Refuse a state on another location count or, if `full`, on fewer sites."""
+    """Refuse a state on another type space or location count or, if `full`,
+    on fewer sites."""
+    if mu.space != model.space:
+        raise ValueError("initial state is on another type space")
     if full and mu.support != model.sites:
         raise ValueError("initial state must cover all sites")
     if len(mu) != model.num_locations:
@@ -189,7 +192,7 @@ def recombine(mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
     entry = model._marginal_cache.get(mu.support)
     if entry is None or entry[1] is None:
         law = model.marginal_recombination(mu.support)
-        plan = BlockPlan(mu.support, [[(b, None) for b in part.blocks] for part in law])
+        plan = BlockPlan(mu.support, [part.blocks for part in law])
         entry = model._marginal_cache[mu.support]
         entry[1] = (plan, np.fromiter(law.values(), dtype=float))
     plan, weights = entry[1]

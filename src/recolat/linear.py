@@ -3,7 +3,10 @@
 Applying the recombinator of every location-labelled partition to the current
 metapopulation turns the nonlinear generation step into one stochastic matrix
 T. Iterating is then a matrix power, and the location-alpha distribution at
-time t sits in the component of the single-block state labelled alpha.
+time t sits in the component of the single-block state labelled alpha. The
+recombinator vector of the initial state is the labelled readout of
+`measures`, re-exported here as `build_recombinator_vector`, and
+`start_rows` reads it for both `T^t` and `expm(tQ)`.
 
 Each block of a state independently draws a sub-partition from the induced
 recombination law, and each new block draws its location from the migration
@@ -27,7 +30,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 import numpy as np
 
 from .forward import RecombinationModel, check_horizon, check_initial
-from .measures import Metapopulation, block_products
+from .measures import Metapopulation, build_recombinator_vector
 from .partitions import LabelledPartition, Partition, whole_labelled
 
 __all__ = [
@@ -92,13 +95,6 @@ def closure(
         for target, weight in row:
             matrix[i, pos[target]] += weight
     return states, matrix
-
-
-def build_recombinator_vector(
-    mu: Metapopulation, states: Sequence[LabelledPartition]
-) -> np.ndarray:
-    """Recombinator values of `mu` along `states`, one row per state."""
-    return block_products(mu.as_array(), mu.support, [s.items for s in states])[:, 0]
 
 
 class LinearSystem:

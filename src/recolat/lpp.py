@@ -9,6 +9,8 @@ trace, and each fragment then draws its new location from the migration row
 of the old label; the split happens before the relabelling. Averaging the
 recombinator of the final state applied to the initial metapopulation over
 replicates estimates the forward solution started from a single-block state.
+The recombinators of the final states, and the start vector of the two-site
+block chain, come from the labelled readout `build_recombinator_vector`.
 
 One seed contract covers `simulate`, `state_histograms` and
 `duality_estimate`: one walk steps CHUNK = 1024 replicates together as
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import RecombinationModel, check_horizon, check_initial
-from .linear import build_recombinator_vector, checked_starts, matrix_power
-from .measures import Distribution, Metapopulation
+from .linear import checked_starts, matrix_power
+from .measures import Distribution, Metapopulation, build_recombinator_vector
 from .partitions import LabelledPartition, Partition, _by_block_min, whole_labelled
 
 _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -276,14 +278,14 @@ def duality_estimate(
 
 def _two_site_chain(mu0: Metapopulation) -> tuple[np.ndarray, np.ndarray]:
     """Two-site block chain over the L whole states @j, then the L**2 split
-    states {0}@j|{1}@k in (j, k) order: its start vector (mu0's rows stacked
-    on the products of mu0's site-0 marginal at j and site-1 marginal at k)
-    and the (L, L**2) selection S of the split {0}@a|{1}@a of each @a."""
-    w = mu0.as_array()
-    nloc = len(w)
-    prods = np.einsum("ja,kb->jkab", w.sum(axis=2), w.sum(axis=1))
-    start = np.concatenate([w.reshape(nloc, -1), prods.reshape(nloc * nloc, -1)])
-    return start, np.eye(nloc * nloc)[:: nloc + 1]
+    states {0}@j|{1}@k in (j, k) order: its start vector (the recombinators
+    of mu0 along those states) and the (L, L**2) selection S of the split
+    {0}@a|{1}@a of each @a."""
+    nloc = mu0.num_locations
+    states = [whole_labelled((0, 1), j) for j in range(nloc)] + [
+        LabelledPartition([((0,), j), ((1,), k)]) for j in range(nloc) for k in range(nloc)
+    ]
+    return build_recombinator_vector(mu0, states), np.eye(nloc * nloc)[:: nloc + 1]
 
 
 def two_site_closed_form(

@@ -5,14 +5,18 @@ product alphabet of a *support* (an ascending tuple of sites) and stores its
 weights densely in mixed-radix order, first support site slowest. That order
 is exactly numpy's C order for the shape given by the per-site alphabet
 sizes, so marginalising is an axis sum and the tensor product is an outer
-product followed by an axis permutation. `block_products` is the one
-array-level recombinator kernel that every solver route evaluates; routes
-that evaluate one state list at every step (`ct_rhs`, `recombine`) keep it
-compiled as a `BlockPlan`. The kernel makes one pass over the support sites
-that leaves every block marginal it reads in one compact row per location,
-lays the raw and mass-normalised rows side by side in one table, and forms
-each block slot's factors with one gather from that table. `tensor` stays
-as a measure-level utility.
+product followed by an axis permutation.
+
+Every solver route reads its product measures from one of two kernels,
+split by traffic. `BlockPlan` serves the routes that evaluate one list of
+own-label products again and again (`ct_rhs`, `recombine`): compiled once,
+it makes one pass over the support sites that leaves every block marginal
+in one compact row per location and forms each block slot's factors with
+one gather. `build_recombinator_vector` is the one labelled readout, for the
+recombinators of location-labelled partitions that the exact routes, the
+dual Monte Carlo and `recombinator` read: one axis sum per distinct block,
+then per base partition one gather at the states' labels and a broadcast
+product. `tensor` stays as a measure-level utility.
 
 A metapopulation is the state every solver route works on: one read-only
 (locations, dim) matrix, one row per location, all on the same support. Its
@@ -144,18 +148,10 @@ class Distribution:
         return self.weights.reshape(self.shape)
 
     def marginalise(self, keep: Iterable[int]) -> "Distribution":
-        """Marginal onto `keep`, which must be a subset of the support.
-
-        An empty `keep` gives the scalar-1 distribution.
-        """
-        keep_t = tuple(sorted(set(keep)))
-        if not set(keep_t) <= set(self.support):
-            raise ValueError(f"sites {set(keep_t) - set(self.support)} not in support")
-        drop_axes = tuple(
-            i for i, s in enumerate(self.support) if s not in keep_t
-        )
-        w = self.as_array().sum(axis=drop_axes) if drop_axes else self.as_array()
-        return Distribution(self.space, keep_t, w.reshape(-1), atol=1e-8)
+        """Marginal onto `keep`, which must be a subset of the support: the
+        one-location case of `Metapopulation.marginalise`. An empty `keep`
+        gives the scalar-1 distribution."""
+        return Metapopulation([self]).marginalise(keep)[0]
 
     def __repr__(self) -> str:
         return f"Distribution(support={self.support}, weights={np.array2string(self.weights, precision=5)})"
@@ -229,7 +225,13 @@ class Metapopulation:
         return len(self.matrix)
 
     def marginalise(self, keep: Iterable[int]) -> "Metapopulation":
-        return Metapopulation(d.marginalise(keep) for d in self)
+        """Marginal of every location onto `keep`, a subset of the support:
+        one axis sum of the matrix. An empty `keep` gives the scalar 1."""
+        keep_t = tuple(sorted(set(keep)))
+        if not set(keep_t) <= set(self.support):
+            raise ValueError(f"sites {set(keep_t) - set(self.support)} not in support")
+        m = _marginals(self.as_array(), self.support, keep_t).reshape(len(self.matrix), -1)
+        return Metapopulation.from_stack(self.space, keep_t, m, atol=1e-8)
 
     def stack(self) -> np.ndarray:
         """Weights as a (locations, dim) matrix: the read-only matrix itself."""
@@ -258,58 +260,55 @@ class Metapopulation:
         return f"Metapopulation({len(self.matrix)} locations, support={self.support})"
 
 
+def _marginals(array: np.ndarray, support: Sequence[int], keep) -> np.ndarray:
+    """Every location's marginal onto the sites `keep` of a (locations,
+    *alphabet sizes) array on `support`: one axis sum that keeps the summed
+    axes."""
+    return np.add.reduce(array, tuple(a for a, s in enumerate(support, 1) if s not in keep), keepdims=True)
+
+
 _ALL = slice(None)  # a pass step that keeps every pattern of its part
 
 
 class BlockPlan:
-    """`block_products` compiled for one (support, state list): call it on a
-    stack to evaluate. A plan holds no array of any stack, so one plan
-    serves any number of stacks; its index tables are built for the alphabet
-    sizes of the first stack it evaluates, and rebuilt when a stack has
-    other sizes.
+    """The own-label recombinator kernel, compiled for one (support, state
+    list): call it on a raw (locations, *alphabet sizes) stack, one axis per
+    support site. A state is a sequence of blocks (tuples of support sites),
+    each read at every location's own marginal. Returns (states, locations,
+    dim), a transposed view, dim covering the sites the states cover.
 
-    Building the plan numbers the distinct (block, label) factors and
-    records, per block slot (a state's first block, its second, ...), the
-    factor each state reads there. Compiling for the alphabet sizes plans
-    the site pass (`_site_pass`), after which every block marginal is an
-    affine function of its letters. So each factor's table column at every
-    output entry is read off a strided view of the column numbers, and
-    adding the slot's half (raw for a first block, mass-normalised after
-    it) gives one gather index per slot and state, in the smallest unsigned
-    dtype.
+    Mass contract: every block marginal after the first is divided by its
+    location's total mass, so a product keeps the mass of its row exactly
+    once, and the recombination drift conserves mass off the simplex too. A
+    one-block state returns its marginal unchanged.
+
+    Compiling for a stack's alphabet sizes plans one pass over the sites,
+    last site first (`_site_pass`), that keeps or sums each site for every
+    block marginal, one site at a time. Each marginal is then an affine
+    function of its letters, so each block slot (a state's first block, its
+    second, ...) gathers its factors with one index, in the smallest unsigned
+    dtype, from a per-location table of the compact marginals, the same
+    divided by the mass, and a one for empty slots; the factors multiply in
+    place, in block order. The numpy calls of an evaluation grow with the
+    sites and slots, not with the blocks or states, and besides the compact
+    marginals the peak is the products, one gathered factor and the slots'
+    index tables. A plan holds no stack; it compiles again for a stack of
+    other alphabet sizes.
     """
 
-    __slots__ = ("own", "masks", "factors", "labels", "codes", "empty", "sizes", "passes", "halves", "gathers")
+    __slots__ = ("masks", "codes", "empty", "sizes", "passes", "halves", "gathers")
 
-    def __init__(self, support: Sequence[int], states: Sequence):
+    def __init__(self, support: Sequence[int], states: Sequence[Sequence[tuple]]):
         width = max(map(len, states), default=0) or 1
-        # per block slot and state: the factor read there (-1 for an empty
-        # slot); a factor is a distinct (block, label) pair
+        # per block slot and state: the block read there (-1 for an empty slot)
         self.codes = codes = [[-1] * len(states) for _ in range(width)]
-        self.empty = False
+        self.empty = any(len(blocks) < width for blocks in states)
         rows: dict = {}
-        for i, items in enumerate(states):
-            if len(items) < width:
-                self.empty = True
-            for k, item in enumerate(items):
-                row = rows.get(item)
-                if row is None:
-                    row = rows[item] = len(rows)
-                codes[k][i] = row
-        kinds = {label is None for _, label in rows}
-        if len(kinds) > 1:
-            raise ValueError("labels of one call must be all None or all int")
-        self.own = False not in kinds
+        for i, blocks in enumerate(states):
+            for k, block in enumerate(blocks):
+                codes[k][i] = rows.setdefault(block, len(rows))
         bit = {s: 1 << i for i, s in enumerate(support)}
-        masks: dict = {}  # block -> its site mask
-        for block, _ in rows:
-            if block not in masks:
-                masks[block] = sum(bit[s] for s in block)
-        # distinct masks, then per factor the index of its mask and its label
-        self.masks = sorted(set(masks.values()))
-        index = {b: i for i, b in enumerate(self.masks)}
-        self.factors = [index[masks[block]] for block, _ in rows]
-        self.labels = [label or 0 for _, label in rows]
+        self.masks = [sum(bit[s] for s in block) for block in rows]  # per block, its site mask
         self.sizes = None
 
     def _compile(self, sizes: tuple[int, ...]) -> None:
@@ -318,27 +317,22 @@ class BlockPlan:
         # ones if any state has a second block, a one if a slot is empty
         width = len(self.codes)
         self.halves = 1 if width == 1 else 2
-        stride = self.halves * total + self.empty
-        columns = (max(self.labels, default=0) + 1) * stride
+        columns = self.halves * total + self.empty
         dt = np.min_scalar_type(columns)  # holds every index
-        # key of output entry x for a factor: its column at x's letters, read
-        # off a view of the column numbers with its block's strides
+        # key of output entry x for a block: its column at x's letters, read
+        # off a view of the column numbers with the block's strides
         union = 0
         for b in self.masks:
             union |= b
         covered = [j for j in range(len(sizes)) if union >> j & 1]
         shape = tuple(sizes[j] for j in covered)
         numbers = np.arange(columns, dtype=dt)
-        views = []
-        for b in self.masks:
+        keys = np.empty((len(self.masks) + 1, math.prod(shape)), dt)  # the last row serves empty slots
+        for key, b in zip(keys, self.masks):
             base, st, _ = layout[b]
             step = dict(zip([j for j in covered if b >> j & 1], st))
-            views.append((base, tuple(step.get(j, 0) * numbers.itemsize for j in covered)))
-        keys = np.empty((len(self.factors) + 1, math.prod(shape)), dt)  # the last row serves empty slots
-        for key, m, label in zip(keys, self.factors, self.labels):
-            base, strides = views[m]
-            offset = (base + label * stride) * numbers.itemsize
-            key.reshape(shape)[...] = np.ndarray(shape, dt, numbers, offset, strides)
+            strides = tuple(step.get(j, 0) * numbers.itemsize for j in covered)
+            key.reshape(shape)[...] = np.ndarray(shape, dt, numbers, base * numbers.itemsize, strides)
         keys[-1] = self.halves * total
         codes = np.array(self.codes, dtype=np.intp)
         gathers = np.empty(codes.shape + keys.shape[1:], dt)
@@ -375,18 +369,10 @@ class BlockPlan:
                 parts.append(np.ones((len(marg), 1)))
             table = np.concatenate(parts, axis=1)
         first, *rest = self.gathers
-        if self.own:
-            prod = table.take(first, axis=1)
-            for idx in rest:
-                prod *= table.take(idx, axis=1)
-            return prod.transpose(1, 0, 2)
-        # fancy indexing casts a small index in buffered chunks; take would
-        # copy it to intp at full size
-        flat = table.reshape(-1)
-        prod = flat[first]
+        prod = table.take(first, axis=1)
         for idx in rest:
-            prod *= flat[idx]
-        return prod[:, np.newaxis]
+            prod *= table.take(idx, axis=1)
+        return prod.transpose(1, 0, 2)
 
 
 def _site_pass(masks: list, sizes: tuple):
@@ -471,40 +457,40 @@ def _packed(dims) -> tuple:
     return tuple(reversed(st))
 
 
-def block_products(stack: np.ndarray, support: Sequence[int], states: Sequence) -> np.ndarray:
-    """The recombinator kernel: the product of block marginals, per state.
+def build_recombinator_vector(
+    mu: Metapopulation, states: Sequence[LabelledPartition]
+) -> np.ndarray:
+    """Recombinator values of `mu` along `states`, one row per state: the one
+    readout of products of block marginals at labels. Each distinct block's
+    marginal is one axis sum that keeps the summed axes, so the marginals of
+    one base partition broadcast in global site order. Per base partition,
+    the states on it gather each block's marginal at their labels and
+    multiply the factors in block order. All states cover the same sites.
 
-    `stack` is a raw (locations, *alphabet sizes) array with one axis per
-    site of `support`. A state is a sequence of (block, label) pairs, a block
-    being a tuple of support sites. Label None takes each location's own
-    marginal, so the product has a row per location; an int label reads that
-    location's marginal. The labels of one call are all None or all int.
-    Returns (states, rows, dim), dim covering the sites the states cover; all
-    states of one call must give the same shape.
-
-    Mass contract: every block marginal after the first is divided by the
-    total mass of its location, so a product carries its first block's mass
-    exactly once. On the simplex this changes nothing; off it, products keep
-    the mass of their row, which makes the recombination drift conserve
-    mass. A one-block state returns its marginal unchanged.
-
-    The kernel runs in two steps, and this function does both; callers that
-    evaluate one state list again and again keep the `BlockPlan` instead.
-    Evaluating makes one pass over the support sites, last site first, that
-    keeps or sums each site for every block marginal the states read, so
-    each marginal entry is one sum over the dropped sites taken one site at
-    a time. It then puts, per location, the compact marginals, the same
-    divided by the location's mass, and a one for empty slots side by side
-    in one table, and for each block slot gathers every state's factor from
-    that table with one precomputed index and multiplies it into the
-    products in place, in block order. The numpy calls of one evaluation
-    grow with the number of sites and of slots, never with the number of
-    blocks or states. Besides the compact marginals, the peak is the
-    products, one gathered factor and the index tables of the slots. With
-    labels None the result is a transposed view of a (rows, states, dim)
-    array.
+    No factor is divided by its location's mass, so a product of k blocks
+    carries the product of its k rows' masses: it is exact on the simplex,
+    and off it by the tolerance the rows were accepted at, k times over.
     """
-    return BlockPlan(support, states)(stack)
+    stack = mu.as_array()
+    bases: dict = {}  # blocks -> (positions, label vectors) of the states on them
+    for i, state in enumerate(states):
+        blocks, labels = zip(*state.items)
+        rows, columns = bases.setdefault(blocks, ([], []))
+        rows.append(i)
+        columns.append(labels)
+    marginals: dict = {}
+    out = None if len(bases) == 1 else np.empty((len(states), mu.space.dim(states[0].base_set)))
+    for blocks, (rows, columns) in bases.items():
+        prod = None
+        for block, labels in zip(blocks, np.array(columns, dtype=np.intp).T):
+            marg = marginals.get(block)
+            if marg is None:
+                marg = marginals[block] = _marginals(stack, mu.support, block)
+            prod = marg[labels] if prod is None else prod * marg[labels]
+        if out is None:  # one base partition: its products are the output
+            return prod.reshape(len(rows), -1)
+        out[rows] = prod.reshape(len(rows), -1)
+    return out
 
 
 def recombinator(bdelta: LabelledPartition, mu: Metapopulation) -> Distribution:
@@ -519,5 +505,5 @@ def recombinator(bdelta: LabelledPartition, mu: Metapopulation) -> Distribution:
     for _, label in bdelta.items:
         if not 0 <= label < mu.num_locations:
             raise ValueError(f"label {label} outside the {mu.num_locations} locations")
-    weights = block_products(mu.as_array(), mu.support, [bdelta.items])[0, 0]
+    weights = build_recombinator_vector(mu, [bdelta])[0]
     return Distribution(mu.space, bdelta.base_set, weights, atol=1e-8)

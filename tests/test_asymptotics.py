@@ -218,6 +218,33 @@ class TestAbsorptionTail:
         tail = absorption_tail(model, 3, start=finest(model.sites))
         assert np.abs(tail).max() == 0.0
 
+    def test_start_on_a_site_subset_is_the_induced_model(self):
+        # a start on sites {0, 1} of three used to count "fully split"
+        # against all three sites, so it was never absorbed: the tail read
+        # all ones and qld reported eta = 1 with its peak at {0}|{1}
+        start = Partition([(0, 1)])
+        space = TypeSpace((2, 2, 2))
+        model = RecombinationModel(
+            space, {coarsest((0, 1, 2)): 0.5, finest((0, 1, 2)): 0.5}, [[0.9, 0.1], [0.2, 0.8]]
+        )
+        assert np.abs(absorption_tail(model, 5, start=start) - 0.5 ** np.arange(6)).max() < 1e-15
+        rep = qld(model, start=start)
+        assert rep.max_sojourn == 0.5 and rep.peak_states == [start]
+        rng = np.random.default_rng(1801)
+        for _ in range(6):
+            model = factories.random_model(rng, 3, 2)
+            law = model.marginal_recombination(start.base_set)
+            induced = RecombinationModel(TypeSpace((2, 2)), law, model.migration)
+            np.testing.assert_allclose(
+                absorption_tail(model, 8, start=start), absorption_tail(induced, 8), rtol=0, atol=1e-15
+            )
+            if law.get(start, 0.0) > 0:  # else every step splits, and qld is undefined
+                got, want = qld(model, start=start), qld(induced)
+                assert got.peak_states == want.peak_states
+                assert abs(got.max_sojourn - want.max_sojourn) < 1e-15
+                for p in want.peak_states:
+                    assert abs(got.qlim[p] - want.qlim[p]) < 1e-15
+
     def test_matches_monte_carlo(self):
         model = factories.random_model(RNG, 3, 2)
         tail = absorption_tail(model, 8)

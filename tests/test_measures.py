@@ -10,7 +10,7 @@ from recolat.measures import (
     Distribution,
     Metapopulation,
     TypeSpace,
-    block_products,
+    build_recombinator_vector,
     recombinator,
     tensor,
 )
@@ -237,6 +237,24 @@ class TestMetapopulation:
         np.testing.assert_array_equal(mu.stack(), before)
         assert [d.weights.tolist() for d in mu] == before.tolist()
 
+    def test_marginalise_builds_no_distribution(self, monkeypatch):
+        rng = np.random.default_rng(1618)
+        ts = TypeSpace((2, 3, 2))
+        mu = random_metapop(ts, 3, rng=rng)
+        want = mu.as_array().sum(axis=(1, 3)).reshape(3, -1)
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("marginalise built a Distribution")
+
+        monkeypatch.setattr(Distribution, "__init__", refuse)
+        got = mu.marginalise([1])
+        assert got.support == (1,) and got.space == ts
+        np.testing.assert_allclose(got.stack(), want, rtol=0, atol=1e-16)
+        scalar = mu.marginalise([])
+        assert scalar.support == () and scalar.stack().shape == (3, 1)
+        np.testing.assert_allclose(scalar.stack(), 1.0, rtol=0, atol=1e-15)
+        with pytest.raises(ValueError, match=r"^sites \{3\} not in support$"):
+            got.marginalise([1, 3])
+
     def test_rows_accepted_at_a_loose_tolerance_stay_readable(self):
         # RK4 states are accepted at 1e-7; the rows must read back although
         # a Distribution would refuse them at its default 1e-12
@@ -354,6 +372,37 @@ def random_stack(rng, space, locations, support, mass=(1.0, 1.0)):
     return rows.reshape((locations,) + space.shape(support))
 
 
+def own_labels(states):
+    """States given as block lists, as (block, None) pairs for the oracles."""
+    return [[(block, None) for block in blocks] for blocks in states]
+
+
+def own_products(stack, support, states):
+    """`BlockPlan` on states given as (block, None) pairs, as the oracles take them."""
+    return BlockPlan(support, [[block for block, _ in items] for items in states])(stack)
+
+
+def readout(stack, space, support, states):
+    """`build_recombinator_vector` on states given as (block, label) pairs,
+    on the metapopulation whose rows are those of `stack`."""
+    mu = Metapopulation.from_stack(space, support, stack.reshape(len(stack), -1))
+    return build_recombinator_vector(mu, [LabelledPartition(items) for items in states])
+
+
+def loop_readout(stack, support, states):
+    """The readout's arithmetic one state at a time: per block, in the
+    canonical order, the block's marginal at its label, one `np.add.reduce`
+    that keeps the summed axes, multiplied in."""
+    out = []
+    for items in states:
+        prod = 1.0
+        for block, label in LabelledPartition(items).items:
+            drop = tuple(a for a, s in enumerate(support, 1) if s not in block)
+            prod = prod * np.add.reduce(stack, drop, keepdims=True)[label]
+        out.append(prod.reshape(-1))
+    return np.array(out)
+
+
 class TestBlockProducts:
     def test_random_supports_and_block_orders(self):
         rng = np.random.default_rng(7)
@@ -372,16 +421,17 @@ class TestBlockProducts:
                 for _ in range(int(rng.integers(1, 6)))
             ]
             stack = random_stack(rng, space, locations, support)
-            got = block_products(stack, support, states)
-            assert got.shape == (len(states), locations if own else 1, space.dim(covered))
             want = kernel_oracle(stack, space, support, states)
+            if own:
+                got = own_products(stack, support, states)
+                assert got.shape == (len(states), locations, space.dim(covered))
+                np.testing.assert_array_equal(got, oracles.loop_block_products(stack, support, states))
+            else:
+                got = readout(stack, space, support, states)
+                assert got.shape == (len(states), space.dim(covered))
+                np.testing.assert_array_equal(got, loop_readout(stack, support, states))
+                want = want[:, 0]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
-            np.testing.assert_array_equal(got, oracles.loop_block_products(stack, support, states))
-
-    def test_mixed_label_kinds_rejected(self):
-        states = [[((0, 2), None), ((1,), 2)], [((0, 1, 2), None)]]
-        with pytest.raises(ValueError, match="all None or all int"):
-            BlockPlan((0, 1, 2), states)
 
     def test_one_block_states_and_mixed_lengths(self):
         rng = np.random.default_rng(9)
@@ -394,23 +444,22 @@ class TestBlockProducts:
             [((3,), 1), ((0,), 0), ((1,), 1), ((2,), 0)],
             [((1, 3), 0), ((0, 2), 0)],
         ]
-        got = block_products(stack, support, states)
-        np.testing.assert_allclose(got, kernel_oracle(stack, space, support, states), rtol=1e-12)
+        got = readout(stack, space, support, states)
+        np.testing.assert_allclose(got, kernel_oracle(stack, space, support, states)[:, 0], rtol=1e-12)
         # a one-block state is its marginal, unchanged
-        np.testing.assert_array_equal(got[0, 0], stack[1].reshape(-1))
-        sub = block_products(stack, support, [[((0, 2), None)]])[0]
+        np.testing.assert_array_equal(got[0], stack[1].reshape(-1))
+        sub = BlockPlan(support, [[(0, 2)]])(stack)[0]
         np.testing.assert_array_equal(sub, stack.sum(axis=(2, 4)).reshape(2, -1))
 
     def test_fourteen_sites(self):
         rng = np.random.default_rng(10)
         space = TypeSpace((2,) * 14)
         stack = random_stack(rng, space, 2, space.sites)
-        states = [
-            [(b, None) for b in random_blocks(rng, list(space.sites))] for _ in range(3)
-        ] + [[((0, 13), None), (tuple(range(1, 13)), None)]]
-        got = block_products(stack, space.sites, states)
+        states = [random_blocks(rng, list(space.sites)) for _ in range(3)]
+        states.append([(0, 13), tuple(range(1, 13))])
+        got = BlockPlan(space.sites, states)(stack)
         assert got.shape == (4, 2, 2**14)
-        want = kernel_oracle(stack, space, space.sites, states)
+        want = kernel_oracle(stack, space, space.sites, own_labels(states))
         np.testing.assert_allclose(got, want, rtol=1e-11)
 
     def test_off_simplex_products_keep_row_mass(self):
@@ -418,11 +467,11 @@ class TestBlockProducts:
         space = TypeSpace((2, 3, 2))
         stack = random_stack(rng, space, 3, space.sites, mass=(0.2, 5.0))
         mass = stack.reshape(3, -1).sum(axis=1)
-        states = [[(b, None) for b in random_blocks(rng, [0, 1, 2])] for _ in range(5)]
-        states.append([((0,), None), ((1,), None), ((2,), None)])
-        got = block_products(stack, space.sites, states)
+        states = [random_blocks(rng, [0, 1, 2]) for _ in range(5)]
+        states.append([(0,), (1,), (2,)])
+        got = BlockPlan(space.sites, states)(stack)
         np.testing.assert_allclose(got.sum(axis=2), np.tile(mass, (6, 1)), rtol=1e-12)
-        want = kernel_oracle(stack, space, space.sites, states)
+        want = kernel_oracle(stack, space, space.sites, own_labels(states))
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("own", [True, False])
@@ -437,19 +486,26 @@ class TestBlockProducts:
             [((s,), None if own else s % 2) for s in space.sites],
             [((s,), None if own else 1) for s in reversed(space.sites)],
         ]
+        if own:
+            run = lambda: own_products(stack, space.sites, states)
+        else:
+            mu = Metapopulation.from_stack(space, space.sites, stack.reshape(2, -1))
+            labelled = [LabelledPartition(items) for items in states]
+            run = lambda: build_recombinator_vector(mu, labelled)
         tracemalloc.start()
         try:
-            got = block_products(stack, space.sites, states)
+            got = run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 3 * got.nbytes + 2**16
-        np.testing.assert_allclose(got, kernel_oracle(stack, space, space.sites, states), rtol=1e-12)
+        want = kernel_oracle(stack, space, space.sites, states)
+        np.testing.assert_allclose(got, want if own else want[:, 0], rtol=1e-12)
 
     def test_one_plan_many_stacks(self):
         rng = np.random.default_rng(12)
         space = TypeSpace((3, 2, 2))
-        states = [[((0,), 1), ((1, 2), 0)], [((2,), 0), ((0,), 0), ((1,), 1)], [((0, 1, 2), 1)]]
+        states = [[(0,), (1, 2)], [(2,), (0,), (1,)], [(0, 1, 2)]]
         plan = BlockPlan(space.sites, states)
         first = random_stack(rng, space, 2, space.sites)
         second = random_stack(rng, space, 2, space.sites, mass=(0.5, 2.0))
@@ -457,9 +513,10 @@ class TestBlockProducts:
         kept = a.copy()
         b = plan(second)
         np.testing.assert_array_equal(a, kept)
-        np.testing.assert_array_equal(a, block_products(first, space.sites, states))
-        np.testing.assert_array_equal(b, block_products(second, space.sites, states))
-        np.testing.assert_allclose(b, kernel_oracle(second, space, space.sites, states), rtol=1e-12)
+        np.testing.assert_array_equal(a, BlockPlan(space.sites, states)(first))
+        np.testing.assert_array_equal(b, BlockPlan(space.sites, states)(second))
+        want = kernel_oracle(second, space, space.sites, own_labels(states))
+        np.testing.assert_allclose(b, want, rtol=1e-12)
         assert not np.allclose(a, b)
 
 
@@ -470,18 +527,28 @@ class TestBlockProducts:
         rng = np.random.default_rng(16)
         space = TypeSpace(sizes)
         stack = random_stack(rng, space, 3, space.sites, mass=(0.2, 5.0))
-        for own in (True, False):
-            states = [
-                [(b, None if own else int(rng.integers(3))) for b in random_blocks(rng, list(space.sites))]
-                for _ in range(6)
-            ]
-            got = block_products(stack, space.sites, states)
-            np.testing.assert_allclose(got, kernel_oracle(stack, space, space.sites, states), rtol=1e-12)
+        states = [random_blocks(rng, list(space.sites)) for _ in range(6)]
+        got = BlockPlan(space.sites, states)(stack)
+        want = kernel_oracle(stack, space, space.sites, own_labels(states))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("sizes", [(8, 3, 9), (9, 8), (2, 9, 8, 3)])
+    def test_readout_of_pairwise_summed_alphabets(self, sizes):
+        rng = np.random.default_rng(20)
+        space = TypeSpace(sizes)
+        stack = random_stack(rng, space, 3, space.sites)
+        states = [
+            [(b, int(rng.integers(3))) for b in random_blocks(rng, list(space.sites))]
+            for _ in range(6)
+        ]
+        got = readout(stack, space, space.sites, states)
+        want = kernel_oracle(stack, space, space.sites, states)[:, 0]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_one_plan_two_stacks_of_one_shape(self):
         rng = np.random.default_rng(17)
         space = TypeSpace((2, 3, 2, 2))
-        states = [[(b, None) for b in random_blocks(rng, list(space.sites))] for _ in range(8)]
+        states = [random_blocks(rng, list(space.sites)) for _ in range(8)]
         plan = BlockPlan(space.sites, states)
         first = random_stack(rng, space, 3, space.sites)
         second = random_stack(rng, space, 3, space.sites, mass=(0.3, 3.0))
@@ -489,8 +556,9 @@ class TestBlockProducts:
         kept = a.copy()
         b = plan(second)
         np.testing.assert_array_equal(a, kept)
-        np.testing.assert_allclose(a, kernel_oracle(first, space, space.sites, states), rtol=1e-12)
-        np.testing.assert_allclose(b, kernel_oracle(second, space, space.sites, states), rtol=1e-12)
+        want = [kernel_oracle(s, space, space.sites, own_labels(states)) for s in (first, second)]
+        np.testing.assert_allclose(a, want[0], rtol=1e-12)
+        np.testing.assert_allclose(b, want[1], rtol=1e-12)
 
     @pytest.mark.parametrize("own", [True, False])
     def test_support_sites_no_block_covers(self, own):
@@ -503,9 +571,17 @@ class TestBlockProducts:
             for _ in range(5)
         ]
         stack = random_stack(rng, space, 2, support, mass=(0.5, 2.0))
-        got = block_products(stack, support, states)
-        assert got.shape == (5, 2 if own else 1, 12)
-        np.testing.assert_allclose(got, kernel_oracle(stack, space, support, states), rtol=1e-12)
+        if own:
+            got = own_products(stack, support, states)
+            assert got.shape == (5, 2, 12)
+            want = kernel_oracle(stack, space, support, states)
+        else:
+            # the readout reads a metapopulation, whose rows lie on the simplex
+            stack = stack / stack.sum(axis=(1, 2, 3, 4, 5), keepdims=True)
+            got = readout(stack, space, support, states)
+            assert got.shape == (5, 12)
+            want = kernel_oracle(stack, space, support, states)[:, 0]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_ct_rhs_five_sites(self):
         from test_ctime import _brute_rhs

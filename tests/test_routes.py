@@ -1,6 +1,8 @@
-"""Input checks that every solution route shares: the location count and
-support of the initial state, the horizon, and a linear system that lacks a
-location's start. Also the semigroup law that every exact route obeys."""
+"""Input checks that every solution route shares: the type space, location
+count and support of the initial state, the horizon, and a linear system
+that lacks a location's start. Also the semigroup law that every exact route
+obeys, and the symmetries every route respects: renumbering the locations
+or reversing the sites."""
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from recolat.ctime import (
 from recolat.forward import RecombinationModel, iterate, marginal_step, step
 from recolat.linear import build_linear_system, solve_linear
 from recolat.lpp import duality_estimate, simulate, two_site_closed_form
-from recolat.measures import TypeSpace
-from recolat.partitions import enumerate_partitions, whole_labelled
+from recolat.measures import Metapopulation, TypeSpace
+from recolat.partitions import Partition, enumerate_partitions, whole_labelled
 
 import factories
 
@@ -60,6 +62,21 @@ def test_wrong_location_count_rejected(route, locations):
     ct = factories.random_ct_model(rng, 2, 2)
     mu0 = factories.random_metapop(rng, model.space, locations)
     with pytest.raises(ValueError, match="^initial state has the wrong number of locations$"):
+        ROUTES[route](mu0, model, ct)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_initial_state_on_another_space_rejected(route):
+    # a state on alphabets (3, 2) used to pass for a model on (2, 3): integrate
+    # reshaped its rows by the model's sizes, and ct_two_site returned
+    # ct_solve_dual's numbers labelled with the model's space
+    rng = np.random.default_rng(1507)
+    space = TypeSpace((2, 3))
+    halves = {Partition([(0, 1)]): 0.6, Partition([(0,), (1,)]): 0.4}
+    model = RecombinationModel(space, halves, [[0.7, 0.3], [0.4, 0.6]])
+    ct = CtModel(space, {Partition([(0,), (1,)]): 0.8}, [[-0.5, 0.5], [0.3, -0.3]])
+    mu0 = factories.random_metapop(rng, TypeSpace((3, 2)), 2)
+    with pytest.raises(ValueError, match="^initial state is on another type space$"):
         ROUTES[route](mu0, model, ct)
 
 
@@ -155,3 +172,70 @@ def test_flow_is_a_semigroup(route):
     twice = solve(solve(mu0, model, s), model, t).stack()
     once = solve(mu0, model, s + t).stack()
     assert np.abs(twice - once).max() < 1e-13
+
+
+# each route as a map (initial state, model) -> state, with the kind of its
+# model and its site count
+SYMMETRIC_ROUTES = {
+    "iterate": (False, 3, lambda mu, m: iterate(mu, m, 4)[-1]),
+    "solve_linear": (False, 3, lambda mu, m: solve_linear(mu, m, 4)),
+    "two_site_closed_form": (False, 2, lambda mu, m: two_site_closed_form(mu, m, 4)),
+    "limit_metapopulation": (False, 3, limit_metapopulation),
+    "ct_solve_dual": (True, 3, lambda mu, m: ct_solve_dual(mu, m, 0.6)),
+    "ct_two_site": (True, 2, lambda mu, m: ct_two_site(mu, m, 0.6)),
+    "integrate": (True, 3, lambda mu, m: integrate(mu, m, 0.6, 0.05).final),
+}
+
+
+def _symmetry_case(route):
+    """A seeded model of the route's kind on alphabets (2, 3) or (2, 3, 4)
+    with three locations and every partition in its support, so that some
+    block skips a site, and an initial state on it."""
+    continuous, n, solve = SYMMETRIC_ROUTES[route]
+    rng = np.random.default_rng(1508)
+    space = TypeSpace((2, 3, 4)[:n])
+    parts = enumerate_partitions(range(n))
+    weights = dict(zip(parts, rng.dirichlet(np.ones(len(parts)))))
+    moves = rng.random((3, 3)) + 0.1
+    if continuous:
+        generator = moves - np.diag(moves.sum(axis=1))
+        model = CtModel(space, {p: 2 * w for p, w in weights.items() if len(p) > 1}, generator)
+    else:
+        model = RecombinationModel(space, weights, moves / moves.sum(axis=1, keepdims=True))
+    return model, factories.random_metapop(rng, space, 3), solve
+
+
+def _parts(model):
+    """A model's weights and its location matrix."""
+    if isinstance(model, CtModel):
+        return model.rates, model.generator
+    return model.recomb, model.migration
+
+
+@pytest.mark.parametrize("route", sorted(SYMMETRIC_ROUTES))
+def test_renumbering_locations_permutes_the_rows(route):
+    # P M P^T (or P G P^T) with the initial rows permuted by P
+    model, mu0, solve = _symmetry_case(route)
+    perm = [2, 0, 1]
+    weights, matrix = _parts(model)
+    moved = type(model)(model.space, weights, matrix[np.ix_(perm, perm)])
+    start = Metapopulation.from_stack(mu0.space, mu0.support, mu0.stack()[perm])
+    want = solve(mu0, model).stack()[perm]
+    assert np.abs(solve(start, moved).stack() - want).max() < 1e-13
+
+
+@pytest.mark.parametrize("route", sorted(SYMMETRIC_ROUTES))
+def test_reversing_the_sites_reverses_the_axes(route):
+    # site s becomes n-1-s: every partition is mirrored, the alphabets and
+    # the site axes of the initial state are reversed
+    model, mu0, solve = _symmetry_case(route)
+    n = model.num_sites
+    flip = (0,) + tuple(range(n, 0, -1))  # the location axis, then the sites reversed
+    weights, matrix = _parts(model)
+    mirrored = {Partition([[n - 1 - s for s in b] for b in p.blocks]): w for p, w in weights.items()}
+    space = TypeSpace(model.space.alphabet_sizes[::-1])
+    reversed_model = type(model)(space, mirrored, matrix)
+    rows = mu0.as_array().transpose(flip).reshape(3, -1)
+    got = solve(Metapopulation.from_stack(space, space.sites, rows), reversed_model)
+    want = solve(mu0, model).as_array()
+    assert np.abs(got.as_array().transpose(flip) - want).max() < 1e-13
