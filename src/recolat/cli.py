@@ -325,13 +325,15 @@ class ResultTable:
 def _location_rows(quantity: str, names, dists, stderrs=None):
     """One row per weight of each location's distribution, indexed
     "location:letters" with the letters comma-joined in mixed-radix order;
-    `stderrs`, one array per location, fills the stderr column."""
+    `stderrs`, one array per location, fills the stderr column where it is
+    finite: a one-replicate estimate has none, and JSON has no NaN."""
     rows = []
     for k, (name, dist) in enumerate(zip(names, dists)):
         letters = itertools.product(*map(range, dist.shape))
         for i, (w, seq) in enumerate(zip(dist.weights, letters)):
-            err = None if stderrs is None else float(stderrs[k][i])
-            rows.append((quantity, f"{name}:{','.join(map(str, seq))}", float(w), err))
+            err = math.nan if stderrs is None else float(stderrs[k][i])
+            index = f"{name}:{','.join(map(str, seq))}"
+            rows.append((quantity, index, float(w), err if math.isfinite(err) else None))
     return rows
 
 

@@ -13,11 +13,12 @@ generator is assembled by `linear.closure`, the routine that also builds the
 label-free block matrix behind the discrete T; `build_generator` only
 supplies the jump rates and sets the diagonal to minus the row sums.
 
-The drift's product measures come from the recombinator kernel of
-`measures`: a `CtModel` compiles its split partitions into one `BlockPlan`
-at construction, and every `ct_rhs` call evaluates that plan. One pass over
-the sites leaves the marginal of every block of every split partition in a
-compact table, one gather per block slot forms all the products from it,
+The drift is G omega + pull(omega), with the recombination pull of
+`forward.pull`, the operator the discrete map adds to the migrated state;
+the rates take the place of the probabilities. It is compiled into one
+`BlockPlan` over the split partitions at the first `ct_rhs` call and kept
+on the model. One pass over the sites leaves the marginal of every block in
+a compact table, one gather per block slot forms all the products from it,
 and one matrix product weights them by the rates. Marginals after the first
 are divided by the location's mass, so each pull keeps the mass of its row:
 the flow conserves mass for any mass, not only on the simplex, and RK4
@@ -34,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import check_horizon, check_initial, checked_weights, induced_law
+from .forward import check_horizon, check_initial, checked_weights, induced_law, pull
 from .linear import LinearSystem, checked_starts, closure, start_rows
 from .lpp import _two_site_chain, replicate_rng
-from .measures import BlockPlan, Metapopulation, TypeSpace
+from .measures import Metapopulation, TypeSpace
 from .partitions import LabelledPartition, Partition, glued_labelled
 
 GENERATOR_ATOL = 1e-12
@@ -63,19 +64,13 @@ def checked_generator(generator) -> np.ndarray:
 class CtModel:
     """Recombination rates per partition plus a migration generator."""
 
-    __slots__ = ("space", "rates", "generator", "_pulls", "_marginal_cache")
+    __slots__ = ("space", "rates", "generator", "_cache")
 
     def __init__(self, space: TypeSpace, rates, generator):
-        clean = checked_weights(space, rates, "rate")
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "rates", clean)
+        object.__setattr__(self, "rates", checked_weights(space, rates, "rate"))
         object.__setattr__(self, "generator", checked_generator(generator))
-        # keeping everything together changes nothing, so only splits pull
-        split = [part for part in clean if len(part) > 1]
-        plan = BlockPlan(space.sites, [part.blocks for part in split])
-        rhos = np.array([clean[p] for p in split])
-        object.__setattr__(self, "_pulls", (plan, rhos, rhos.sum()))
-        object.__setattr__(self, "_marginal_cache", {})
+        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("CtModel is immutable")
@@ -101,14 +96,9 @@ class CtModel:
 def ct_rhs(state, model: CtModel) -> np.ndarray:
     """Right-hand side of the flow on a raw (locations, dim) stack: migration
     drift plus rate-weighted pull towards each partition's product measure.
-    Rows sum to zero."""
+    Rows sum to zero. The pull is `forward.pull`, the one `step` applies."""
     stack = state.stack() if isinstance(state, Metapopulation) else np.asarray(state, float)
-    out = model.generator @ stack
-    plan, rhos, total = model._pulls
-    if rhos.size:
-        prods = plan(stack.reshape((stack.shape[0],) + model.space.alphabet_sizes))
-        out += (rhos @ prods.swapaxes(0, 1)).reshape(stack.shape) - total * stack
-    return out
+    return model.generator @ stack + pull(model, model.rates, model.sites)(stack)
 
 
 @dataclass(frozen=True)
@@ -210,8 +200,8 @@ def ct_two_site(omega0: Metapopulation, model: CtModel, t: float) -> Metapopulat
     """Two-site solution: the exponential of the block chain's generator
     [[G - rho I, rho S], [0, G kron I + I kron G]] applied to the start
     vector of `lpp._two_site_chain`; its whole-state rows are the answer. A
-    whole state splits at rate rho, both halves keeping its label, and the
-    halves of a split migrate independently (Van Loan's block form of the
+    whole state splits at rate rho, both blocks keeping its label, and the
+    blocks of a split migrate independently (Van Loan's block form of the
     integral over the split time)."""
     from scipy.linalg import expm  # scipy loads only for the routes that need it
 

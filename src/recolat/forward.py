@@ -17,6 +17,13 @@ recombines under the law induced on the support of its input, and
 `marginal_step` is the same function. `induced_law` computes r_U, and the
 rates a continuous-time model induces, through one cached routine.
 
+Recombination is one operator in both time modes, the pull x -> sum of
+w_P (R_P(x) - x) over the partitions P that split the support, R_P(x) the
+product of x's own block marginals: a generation is x + pull(x) of the
+migrated state x = M mu, the continuous drift G omega + pull(omega) with
+the rates as weights. `pull` compiles it once per model and support; a
+model's `_cache` keeps its induced laws, pulls and sampling tables.
+
 Routes of both time modes check input in one place each: model weights in
 `checked_weights`, stochastic matrices in `checked_migration`, initial states
 in `check_initial`, horizons in `check_horizon` and sampler starts in
@@ -92,7 +99,7 @@ def check_horizon(t, *, generations: bool = False) -> None:
 class RecombinationModel:
     """Type space, recombination distribution and backward migration matrix."""
 
-    __slots__ = ("space", "recomb", "migration", "_marginal_cache", "__weakref__")
+    __slots__ = ("space", "recomb", "migration", "_cache")
 
     def __init__(
         self,
@@ -107,7 +114,7 @@ class RecombinationModel:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "recomb", clean)
         object.__setattr__(self, "migration", checked_migration(migration))
-        object.__setattr__(self, "_marginal_cache", {})
+        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("RecombinationModel is immutable")
@@ -137,22 +144,45 @@ def induced_law(
     over partitions with equal restrictions: the recombination law or the
     split rates a model induces on the subset.
 
-    `model` supplies the site set and a `_marginal_cache` dict, keyed by the
-    sorted subset, that holds [result for `weights`, compiled `recombine`
-    plan or None]; callers get a copy of the result.
+    `model` supplies the site set and its `_cache` dict, which holds the
+    result under the sorted subset; callers get a copy.
     """
     key = tuple(sorted(set(sites)))
     if not key:
         raise ValueError("empty site set")
     if not set(key) <= set(model.sites):
         raise ValueError(f"sites {key} not within the model's {model.num_sites} sites")
-    if key not in model._marginal_cache:
+    if key not in model._cache:
         law: dict[Partition, float] = {}
         for part, w in weights.items():
             sub = part.restrict(key)
             law[sub] = law.get(sub, 0.0) + w
-        model._marginal_cache[key] = [law, None]
-    return dict(model._marginal_cache[key][0])
+        model._cache[key] = law
+    return dict(model._cache[key])
+
+
+def pull(model, weights: Mapping[Partition, float], support: tuple[int, ...]):
+    """The pull on `support` under the law `weights` induce there, as a map
+    of raw (locations, dim) stacks: one `BlockPlan`, compiled on first use
+    and cached. A law that splits nothing pulls 0."""
+    key = ("pull", support)
+    if key not in model._cache:
+        law = induced_law(model, weights, support)
+        split = [part for part in law if len(part) > 1]  # keeping it whole changes nothing
+        if not split:
+            model._cache[key] = lambda x: 0.0
+        else:
+            plan = BlockPlan(support, [part.blocks for part in split])
+            w = np.array([law[part] for part in split])
+            total = w.sum()
+            sizes = model.space.shape(support)
+
+            def apply(x):
+                prods = plan(x.reshape((len(x),) + sizes))
+                return (w @ prods.swapaxes(0, 1)).reshape(x.shape) - total * x
+
+            model._cache[key] = apply
+    return model._cache[key]
 
 
 def backward_from_forward(forward, sizes) -> np.ndarray:
@@ -188,15 +218,15 @@ def migrate(mu: Metapopulation, migration) -> Metapopulation:
 
 def recombine(mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
     """Within-location recombination on the support of `mu`, under the
-    recombination law induced there; its plan is compiled on first use."""
-    entry = model._marginal_cache.get(mu.support)
-    if entry is None or entry[1] is None:
-        law = model.marginal_recombination(mu.support)
-        plan = BlockPlan(mu.support, [part.blocks for part in law])
-        entry = model._marginal_cache[mu.support]
-        entry[1] = (plan, np.fromiter(law.values(), dtype=float))
-    plan, weights = entry[1]
-    acc = weights @ plan(mu.as_array()).swapaxes(0, 1)
+    recombination law induced there: x + pull(x)."""
+    if mu.space != model.space:  # the pull reads x at the model's alphabet sizes
+        raise ValueError("initial state is on another type space")
+    return _recombined(mu.stack(), mu, model)
+
+
+def _recombined(x: np.ndarray, mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
+    """The checked state x + pull(x) of a raw stack on `mu`'s support."""
+    acc = x + pull(model, model.recomb, mu.support)(x)
     # the map conserves mass; strip float residue so long trajectories do
     # not accumulate drift
     acc /= acc.sum(axis=1, keepdims=True)
@@ -207,7 +237,7 @@ def step(mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
     """One generation: migrate, then recombine. On a site subset U this is
     the induced dynamics under r_U; on a single site, pure migration."""
     check_initial(mu, model)
-    return recombine(migrate(mu, model.migration), model)
+    return _recombined(model.migration @ mu.stack(), mu, model)
 
 
 marginal_step = step

@@ -23,7 +23,6 @@ reference of a step.
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -33,8 +32,6 @@ from .forward import RecombinationModel, check_horizon, check_initial
 from .linear import checked_starts, matrix_power
 from .measures import Distribution, Metapopulation, build_recombinator_vector
 from .partitions import LabelledPartition, Partition, _by_block_min, whole_labelled
-
-_TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 # replicates the walk steps together, one stream per chunk; a chunk's
 # temporaries, a few (CHUNK, n) arrays and one (CHUNK, n, n) mask, stay small
@@ -55,17 +52,17 @@ def replicate_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def _sampling_tables(model: RecombinationModel):
-    tables = _TABLES.get(model)
-    if tables is None:
+    """The partitions' blocks and the cumulative recombination and migration
+    rows that `lpp_step` and `_walk` draw from, kept in the model's `_cache`."""
+    if "sampling" not in model._cache:
         parts = [tuple(frozenset(b) for b in p.blocks) for p in model.recomb]
         cum_r = np.cumsum(np.fromiter(model.recomb.values(), dtype=float))
         cum_r[-1] = 1.0
         cum_m = np.cumsum(model.migration, axis=1)
         cum_m[:, -1] = 1.0
         # plain lists: bisect beats array searchsorted at these sizes
-        tables = (parts, cum_r.tolist(), [row.tolist() for row in cum_m])
-        _TABLES[model] = tables
-    return tables
+        model._cache["sampling"] = (parts, cum_r.tolist(), [row.tolist() for row in cum_m])
+    return model._cache["sampling"]
 
 
 @dataclass(frozen=True)
@@ -294,8 +291,8 @@ def two_site_closed_form(
     """Exact two-site solution: the t-th power of the block chain's matrix
     [[r_whole M, r_split S (M kron M)], [0, M kron M]] applied to the start
     vector of `_two_site_chain`; its whole-state rows are the answer. A
-    whole state stays whole with probability r_whole, and the halves of a
-    split migrate independently.
+    whole state stays whole with probability r_whole, and the two blocks
+    of a split migrate independently.
 
     Only defined for models with exactly two sites.
     """

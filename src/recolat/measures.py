@@ -285,24 +285,25 @@ class BlockPlan:
     Compiling for a stack's alphabet sizes plans one pass over the sites,
     last site first (`_site_pass`), that keeps or sums each site for every
     block marginal, one site at a time. Each marginal is then an affine
-    function of its letters, so each block slot (a state's first block, its
-    second, ...) gathers its factors with one index, in the smallest unsigned
-    dtype, from a per-location table of the compact marginals, the same
-    divided by the mass, and a one for empty slots; the factors multiply in
+    function of its letters. Per location, the table holds the compact
+    marginals, then the same divided by the mass, then a one for the empty
+    slots of states with fewer blocks. Each block slot (a state's first
+    block, its second, ...) gathers its factors from the table with one
+    index, in the smallest unsigned dtype: the first slot from the raw
+    marginals, later slots from the divided ones. The factors multiply in
     place, in block order. The numpy calls of an evaluation grow with the
-    sites and slots, not with the blocks or states, and besides the compact
-    marginals the peak is the products, one gathered factor and the slots'
-    index tables. A plan holds no stack; it compiles again for a stack of
-    other alphabet sizes.
+    sites and slots, not with the blocks or states, and besides the table
+    the peak is the products, one gathered factor and the slots' index
+    tables. A plan holds no stack; it compiles again for a stack of other
+    alphabet sizes.
     """
 
-    __slots__ = ("masks", "codes", "empty", "sizes", "passes", "halves", "gathers")
+    __slots__ = ("masks", "codes", "sizes", "passes", "gathers")
 
     def __init__(self, support: Sequence[int], states: Sequence[Sequence[tuple]]):
         width = max(map(len, states), default=0) or 1
         # per block slot and state: the block read there (-1 for an empty slot)
         self.codes = codes = [[-1] * len(states) for _ in range(width)]
-        self.empty = any(len(blocks) < width for blocks in states)
         rows: dict = {}
         for i, blocks in enumerate(states):
             for k, block in enumerate(blocks):
@@ -313,11 +314,7 @@ class BlockPlan:
 
     def _compile(self, sizes: tuple[int, ...]) -> None:
         self.passes, total, layout = _site_pass(self.masks, sizes)
-        # table columns per location: the raw marginals, the mass-normalised
-        # ones if any state has a second block, a one if a slot is empty
-        width = len(self.codes)
-        self.halves = 1 if width == 1 else 2
-        columns = self.halves * total + self.empty
+        columns = 2 * total + 1
         dt = np.min_scalar_type(columns)  # holds every index
         # key of output entry x for a block: its column at x's letters, read
         # off a view of the column numbers with the block's strides
@@ -333,13 +330,12 @@ class BlockPlan:
             step = dict(zip([j for j in covered if b >> j & 1], st))
             strides = tuple(step.get(j, 0) * numbers.itemsize for j in covered)
             key.reshape(shape)[...] = np.ndarray(shape, dt, numbers, base * numbers.itemsize, strides)
-        keys[-1] = self.halves * total
+        keys[-1] = 2 * total
         codes = np.array(self.codes, dtype=np.intp)
         gathers = np.empty(codes.shape + keys.shape[1:], dt)
         keys.take(codes[0], axis=0, out=gathers[0])
-        if width > 1:  # later slots read the mass-normalised half
-            keys[:-1] += total
-            keys.take(codes[1:], axis=0, out=gathers[1:])
+        keys[:-1] += total  # later slots read the mass-normalised marginals
+        keys.take(codes[1:], axis=0, out=gathers[1:])
         self.gathers = list(gathers)
         self.sizes = sizes
 
@@ -348,26 +344,19 @@ class BlockPlan:
             self._compile(stack.shape[1:])
         # (locations, letters of the sites not yet passed, pattern entries)
         marg = stack[..., np.newaxis]
-        for fold, keep, drop in self.passes:
+        for keep, drop in self.passes:
             kept = summed = None
-            if fold:
+            if keep is not None:
                 kept = marg[..., keep] if type(keep) is slice else marg.take(keep, axis=-1)
-                kept = kept.reshape(kept.shape[: -1 - fold] + (-1,))
+                kept = kept.reshape(kept.shape[:-2] + (-1,))
             if type(drop) is slice:
                 summed = np.add.reduce(marg[..., drop], -2)
             elif drop is not None:
                 summed = np.add.reduce(marg, -2).take(drop, axis=-1)
             marg = None  # a pruned step frees the previous site's array here
             marg = summed if kept is None else kept if summed is None else np.concatenate((kept, summed), axis=-1)
-        table = marg
-        if self.halves == 2 or self.empty:
-            parts = [marg]
-            if self.halves == 2:
-                mass = np.add.reduce(stack, tuple(range(1, stack.ndim)), keepdims=True)
-                parts.append(marg / mass.reshape(len(marg), 1))
-            if self.empty:
-                parts.append(np.ones((len(marg), 1)))
-            table = np.concatenate(parts, axis=1)
+        mass = np.add.reduce(stack, tuple(range(1, stack.ndim)), keepdims=True)
+        table = np.concatenate((marg, marg / mass.reshape(len(marg), 1), np.ones((len(marg), 1))), axis=1)
         first, *rest = self.gathers
         prod = table.take(first, axis=1)
         for idx in rest:
@@ -389,30 +378,19 @@ def _site_pass(masks: list, sizes: tuple):
     that some block extends without it, and drops the rest, by a slice when
     the survivors form one range and by a `take` otherwise."""
     need = set(masks) or {0}
-    union, inter = 0, -1
-    for b in need:
-        union, inter = union | b, inter & b
     # pattern -> (base, strides, sizes) of its kept sites, first site first:
     # the affine map from a pattern's letters to its entries
     layout = {0: (0, (), ())}
     total = 1
-    # per step: (site axes the kept part folds, its selection, the summed
-    # part's selection or None); a selection is a slice or a take index
+    # per step: (the kept part's selection, the summed part's selection); a
+    # selection is None for an empty part, else a slice or a take index
     passes = []
     for j in reversed(range(len(sizes))):
         d, bit = sizes[j], 1 << j
-        if inter & bit:  # every block keeps the site
-            keep, s_keep, kept, drop, s_drop, dropped = _ALL, total, layout, None, 0, {}
-        elif union & bit:
-            allowed = {b & -bit for b in need}  # the needed patterns of passed sites
-            keep, s_keep, kept = _part(layout, total, [p for p in layout if p | bit in allowed])
-            drop, s_drop, dropped = _part(layout, total, [p for p in layout if p in allowed])
-        else:  # no block keeps the site
-            keep, s_keep, kept, drop, s_drop, dropped = None, 0, {}, _ALL, total, layout
-        if keep is _ALL and drop is None and passes and passes[-1][2] is None:
-            passes[-1] = (passes[-1][0] + 1, passes[-1][1], None)  # one reshape folds both
-        else:
-            passes.append((0 if keep is None else 1, keep, drop))
+        allowed = {b & -bit for b in need}  # the needed patterns of passed sites
+        keep, s_keep, kept = _part(layout, total, [p for p in layout if p | bit in allowed])
+        drop, s_drop, dropped = _part(layout, total, [p for p in layout if p in allowed])
+        passes.append((keep, drop))
         # a kept site becomes the slowest axis of its patterns
         layout = {p | bit: (base, (s_keep,) + st, (d,) + dims) for p, (base, st, dims) in kept.items()}
         for p, (base, st, dims) in dropped.items():
@@ -479,7 +457,7 @@ def build_recombinator_vector(
         rows.append(i)
         columns.append(labels)
     marginals: dict = {}
-    out = None if len(bases) == 1 else np.empty((len(states), mu.space.dim(states[0].base_set)))
+    out = np.empty((len(states), mu.space.dim(states[0].base_set)))
     for blocks, (rows, columns) in bases.items():
         prod = None
         for block, labels in zip(blocks, np.array(columns, dtype=np.intp).T):
@@ -487,8 +465,6 @@ def build_recombinator_vector(
             if marg is None:
                 marg = marginals[block] = _marginals(stack, mu.support, block)
             prod = marg[labels] if prod is None else prod * marg[labels]
-        if out is None:  # one base partition: its products are the output
-            return prod.reshape(len(rows), -1)
         out[rows] = prod.reshape(len(rows), -1)
     return out
 

@@ -349,6 +349,23 @@ class TestCommands:
             assert stderr is not None and stderr > 0
             assert abs(value - exact[index]) < 4.5 * stderr
 
+    def test_one_replicate_writes_no_stderr(self, tmp_path):
+        # one replicate has no standard error; NaN is not JSON, so the rows
+        # carry none in either format
+        argv = ["simulate", "--config", write_config(tmp_path, BASE), "--replicates", "1"]
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        code, out, _ = run_cli(argv + ["--format", "json"])
+        rows = json.loads(out, parse_constant=refuse)["rows"]
+        assert code == 0 and len(rows) == 8
+        assert all("stderr" not in row and 0 <= row["value"] <= 1 for row in rows)
+        code, out, _ = run_cli(argv + ["--format", "csv"])
+        assert code == 0 and "nan" not in out
+        values = csv_values(out)
+        assert len(values) == 8 and all(stderr is None for _, stderr in values.values())
+
     def test_limit_rows_location_independent(self, tmp_path):
         path = write_config(tmp_path, BASE)
         code, out, _ = run_cli(["limit", "--config", path])

@@ -13,6 +13,7 @@ from recolat.ctime import (
     ct_two_site,
     integrate,
 )
+from recolat.forward import recombine
 from recolat.measures import Distribution, Metapopulation, TypeSpace, tensor
 from recolat.partitions import (
     LabelledPartition,
@@ -94,6 +95,22 @@ class TestCtModel:
         model.marginal_rates(model.sites).clear()
         assert len(build_generator(model).states) == 22
 
+    def test_building_compiles_no_plan(self, monkeypatch):
+        # the pull is compiled by the first ct_rhs; the dual route needs none
+        import recolat.measures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a BlockPlan was compiled")
+
+        rng = np.random.default_rng(1906)
+        monkeypatch.setattr(recolat.measures.BlockPlan, "__init__", refuse)
+        model = factories.random_ct_model(rng, 3, 2)
+        om = factories.random_metapop(rng, model.space, 2)
+        out = ct_solve_dual(om, model, 0.7)
+        assert np.abs(out.stack().sum(axis=1) - 1.0).max() < 1e-12
+        with pytest.raises(AssertionError, match="compiled"):
+            ct_rhs(om, model)
+
 
 def _brute_rhs(omega, model):
     """Independent right-hand side on Metapopulation objects."""
@@ -171,6 +188,33 @@ class TestRhs:
         with_whole = CtModel(space, {finest((0, 1)): 0.7, coarsest((0, 1)): 5.0}, gen)
         without = CtModel(space, {finest((0, 1)): 0.7}, gen)
         assert np.abs(ct_rhs(om, with_whole) - ct_rhs(om, without)).max() == 0.0
+
+    def test_whole_set_rate_alone_is_migration(self):
+        rng = np.random.default_rng(1907)
+        space = TypeSpace((2, 3))
+        model = CtModel(space, {coarsest((0, 1)): 2.5}, _conservative(rng.random((3, 3))))
+        om = factories.random_metapop(rng, space, 3)
+        np.testing.assert_array_equal(ct_rhs(om, model), model.generator @ om.stack())
+
+    def test_raw_stack_of_wrong_width_rejected(self):
+        # two locations of a two-site binary model: a (2, 2) stack is not
+        # one location of dim 4
+        rng = np.random.default_rng(1908)
+        model = CtModel(TypeSpace((2, 2)), {finest((0, 1)): 0.7}, _conservative(rng.random((2, 2))))
+        for shape in [(2, 2), (2, 8)]:
+            with pytest.raises(ValueError):
+                ct_rhs(rng.random(shape), model)
+
+    def test_drift_is_the_discrete_maps_pull(self):
+        # rates equal to recombination probabilities and no migration: the
+        # drift is the change one recombination step makes
+        rng = np.random.default_rng(1909)
+        for n, loc in [(2, 1), (3, 2), (4, 3)]:
+            model = factories.random_model(rng, n, loc)
+            ct = CtModel(model.space, model.recomb, np.zeros((loc, loc)))
+            mu = factories.random_metapop(rng, model.space, loc)
+            change = recombine(mu, model).stack() - mu.stack()
+            np.testing.assert_allclose(ct_rhs(mu, ct), change, rtol=0, atol=1e-15)
 
 
 class TestIntegrate:

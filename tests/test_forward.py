@@ -192,6 +192,13 @@ class TestRecombine:
         b = mu[0].marginalise((1,)).weights
         np.testing.assert_allclose(out[0].weights, np.outer(a, b).ravel(), atol=1e-14)
 
+    def test_state_on_another_space_rejected(self):
+        # (3, 2) and (2, 3) have the same dim, so only the check tells them apart
+        model = RecombinationModel(TypeSpace((2, 3)), {Partition([[0], [1]]): 1.0}, np.eye(2))
+        mu = factories.random_metapop(np.random.default_rng(1910), TypeSpace((3, 2)), 2)
+        with pytest.raises(ValueError, match="another type space"):
+            recombine(mu, model)
+
 
 class TestStep:
     def test_agrees_with_probability_weighted_route(self):
@@ -241,6 +248,24 @@ class TestIterate:
         mu = factories.random_metapop(RNG, model.space, 2)
         with pytest.raises(ValueError, match="negative"):
             iterate(mu, model, -1)
+
+    def test_one_checked_state_per_generation(self, monkeypatch):
+        # a generation checks the state it returns and no state in between
+        import recolat.measures
+
+        rng = np.random.default_rng(1905)
+        model = factories.random_model(rng, 3, 2)
+        mu = factories.random_metapop(rng, model.space, 2)
+        checked = recolat.measures._checked_weights
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return checked(*args, **kwargs)
+
+        monkeypatch.setattr(recolat.measures, "_checked_weights", counted)
+        iterate(mu, model, 5)
+        assert len(calls) == 5
 
 
 class TestMarginalConsistency:

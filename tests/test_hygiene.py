@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import of the package is used, and
-every private module-level name is read somewhere in the package."""
+"""Source hygiene: every module-level import of the package is used, every
+private module-level name is read somewhere in the package, and no module
+holds mutable state at module level."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,44 @@ def test_private_module_level_names_are_read():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def module_level_containers(tree: ast.Module) -> list[str]:
+    """Names a module binds at module level to an empty `{}`, `[]` or
+    `set()`, or to a `dict(...)`, `list(...)`, `set(...)` or
+    `weakref.Weak*(...)` call: a table shared by every model, where a
+    per-model table belongs in the model's `_cache`."""
+
+    def container(value) -> bool:
+        if isinstance(value, ast.Dict):
+            return not value.keys
+        if isinstance(value, ast.List):
+            return not value.elts
+        if isinstance(value, ast.Call):
+            func = value.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            return name in ("dict", "list", "set") or name.startswith("Weak")
+        return False
+
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and container(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [t.id for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_detects_module_level_containers():
+    tree = ast.parse(
+        "import weakref\nfrom weakref import WeakValueDictionary\n"
+        "_a = {}\nb: list = []\nc = set()\nd = dict(x=1)\n"
+        "_e: 'weakref.WeakKeyDictionary' = weakref.WeakKeyDictionary()\n"
+        "f = WeakValueDictionary()\nG = {'k': 1}\nH = (1,)\nI = [1]\nJ = frozenset()\n"
+        "def g():\n    local = {}\n"
+    )
+    assert module_level_containers(tree) == ["_a", "b", "c", "d", "_e", "f"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_containers(path):
+    assert module_level_containers(ast.parse(path.read_text(), str(path))) == []
