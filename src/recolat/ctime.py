@@ -6,7 +6,8 @@ rate, a recombination drift towards the corresponding product measure.
 Three routes to the solution live here: fixed-step RK4 on the ODE, the
 exact linearisation through the generator of the labelled partitioning
 jump process (solved with a matrix exponential), and for two sites one
-exponential of a small block generator (L whole, L**2 split states).
+exponential of a small hand-built block generator (L whole, L**2 split
+states); both exact routes read out through `linear.start_rows`.
 Splitting and relabelling are separate jump events: fragments of a split
 block keep their parent's label until a relabel event moves them. The
 generator is assembled by `linear.closure`, the routine that also builds the
@@ -37,9 +38,9 @@ import numpy as np
 
 from .forward import check_horizon, check_initial, checked_weights, induced_law, pull
 from .linear import LinearSystem, checked_starts, closure, start_rows
-from .lpp import _two_site_chain, replicate_rng
+from .lpp import _two_site_states, replicate_rng
 from .measures import Metapopulation, TypeSpace
-from .partitions import LabelledPartition, Partition, glued_labelled
+from .partitions import LabelledPartition, Partition, _fill, _Frozen, glued_labelled
 
 GENERATOR_ATOL = 1e-12
 # t_end/dt within this of a whole number k means k RK4 steps
@@ -61,19 +62,15 @@ def checked_generator(generator) -> np.ndarray:
     return gen
 
 
-class CtModel:
+class CtModel(_Frozen):
     """Recombination rates per partition plus a migration generator."""
 
     __slots__ = ("space", "rates", "generator", "_cache")
+    _law = property(lambda self: self.rates)  # the law `induced_law` restricts
 
     def __init__(self, space: TypeSpace, rates, generator):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "rates", checked_weights(space, rates, "rate"))
-        object.__setattr__(self, "generator", checked_generator(generator))
-        object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CtModel is immutable")
+        rates = checked_weights(space, rates, "rate")
+        _fill(self, space=space, rates=rates, generator=checked_generator(generator), _cache={})
 
     @property
     def num_sites(self) -> int:
@@ -90,7 +87,7 @@ class CtModel:
     def marginal_rates(self, sites) -> dict[Partition, float]:
         """Rates of the induced splitting events on a site subset: total rate
         of full-set partitions sharing each restriction."""
-        return induced_law(self, self.rates, sites)
+        return induced_law(self, sites)
 
 
 def ct_rhs(state, model: CtModel) -> np.ndarray:
@@ -98,7 +95,7 @@ def ct_rhs(state, model: CtModel) -> np.ndarray:
     drift plus rate-weighted pull towards each partition's product measure.
     Rows sum to zero. The pull is `forward.pull`, the one `step` applies."""
     stack = state.stack() if isinstance(state, Metapopulation) else np.asarray(state, float)
-    return model.generator @ stack + pull(model, model.rates, model.sites)(stack)
+    return model.generator @ stack + pull(model, model.sites)(stack)
 
 
 @dataclass(frozen=True)
@@ -197,27 +194,25 @@ def ct_solve_dual(
 
 
 def ct_two_site(omega0: Metapopulation, model: CtModel, t: float) -> Metapopulation:
-    """Two-site solution: the exponential of the block chain's generator
-    [[G - rho I, rho S], [0, G kron I + I kron G]] applied to the start
-    vector of `lpp._two_site_chain`; its whole-state rows are the answer. A
-    whole state splits at rate rho, both blocks keeping its label, and the
-    blocks of a split migrate independently (Van Loan's block form of the
-    integral over the split time)."""
+    """Two-site solution: `start_rows` of the exponential of the block
+    chain's generator [[G - rho I, rho S], [0, G kron I + I kron G]] over
+    the states of `lpp._two_site_states`, where row a of S picks the split
+    {0}@a|{1}@a. A whole state splits at rate rho, both blocks keeping its
+    label, and the blocks of a split migrate independently (Van Loan's
+    block form of the integral over the split time)."""
     from scipy.linalg import expm  # scipy loads only for the routes that need it
 
-    if model.num_sites != 2:
-        raise ValueError("closed-form solution requires exactly two sites")
     check_horizon(t)
     check_initial(omega0, model, full=True)
-    rho = model.rates.get(Partition([(model.sites[0],), (model.sites[1],)]), 0.0)
+    states = _two_site_states(model)
+    rho = model.rates.get(Partition([(0,), (1,)]), 0.0)
     gen = model.generator
     nloc = model.num_locations
-    start, select = _two_site_chain(omega0)
     eye = np.eye(nloc)
     pair = np.kron(gen, eye) + np.kron(eye, gen)
-    chain = np.block([[gen - rho * eye, rho * select], [np.zeros((nloc**2, nloc)), pair]])
-    out = (expm(t * chain) @ start)[:nloc]
-    return Metapopulation.from_stack(model.space, model.sites, out, atol=1e-8)
+    split = rho * np.eye(nloc**2)[:: nloc + 1]
+    chain = np.block([[gen - rho * eye, split], [np.zeros((nloc**2, nloc)), pair]])
+    return start_rows(expm(t * chain), omega0, model, LinearSystem(states[:nloc], states, chain))
 
 
 @dataclass(frozen=True)

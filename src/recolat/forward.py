@@ -14,15 +14,15 @@ induced recombination law r_U, each partition restricted to U with the
 weights of equal restrictions summed (M. Baake & E. Baake, Canad. J. Math.
 55, 2003). So one generation map, `step`, serves every support: it
 recombines under the law induced on the support of its input, and
-`marginal_step` is the same function. `induced_law` computes r_U, and the
-rates a continuous-time model induces, through one cached routine.
+`marginal_step` is the same function. `induced_law(model, U)` computes r_U,
+and the rates a continuous-time model induces, from the model's own law.
 
 Recombination is one operator in both time modes, the pull x -> sum of
 w_P (R_P(x) - x) over the partitions P that split the support, R_P(x) the
 product of x's own block marginals: a generation is x + pull(x) of the
 migrated state x = M mu, the continuous drift G omega + pull(omega) with
-the rates as weights. `pull` compiles it once per model and support; a
-model's `_cache` keeps its induced laws, pulls and sampling tables.
+the rates as weights. `pull(model, support)` compiles it once per model and
+support; a model's `_cache` keeps its induced laws, pulls and sampling tables.
 
 Routes of both time modes check input in one place each: model weights in
 `checked_weights`, stochastic matrices in `checked_migration`, initial states
@@ -37,7 +37,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .measures import BlockPlan, Metapopulation, TypeSpace
-from .partitions import Partition
+from .partitions import Partition, _fill, _Frozen
 
 MASS_ATOL = 1e-12
 MIGRATION_ATOL = 1e-9  # matches the constancy tolerance of backward_from_forward
@@ -96,10 +96,11 @@ def check_horizon(t, *, generations: bool = False) -> None:
         raise ValueError(f"a number of generations must be an integer, got {t!r}")
 
 
-class RecombinationModel:
+class RecombinationModel(_Frozen):
     """Type space, recombination distribution and backward migration matrix."""
 
     __slots__ = ("space", "recomb", "migration", "_cache")
+    _law = property(lambda self: self.recomb)  # the law `induced_law` restricts
 
     def __init__(
         self,
@@ -111,13 +112,7 @@ class RecombinationModel:
         total = sum(clean.values(), 0.0)
         if not abs(total - 1.0) <= MASS_ATOL:
             raise ValueError(f"recombination probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "recomb", clean)
-        object.__setattr__(self, "migration", checked_migration(migration))
-        object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RecombinationModel is immutable")
+        _fill(self, space=space, recomb=clean, migration=checked_migration(migration), _cache={})
 
     @property
     def num_sites(self) -> int:
@@ -134,18 +129,16 @@ class RecombinationModel:
     def marginal_recombination(self, sites: Iterable[int]) -> dict[Partition, float]:
         """Recombination distribution induced on a site subset: each support
         partition is restricted to the subset and the weights accumulated."""
-        return induced_law(self, self.recomb, sites)
+        return induced_law(self, sites)
 
 
-def induced_law(
-    model, weights: Mapping[Partition, float], sites: Iterable[int]
-) -> dict[Partition, float]:
-    """Weights of full-set partitions restricted to a site subset, summed
-    over partitions with equal restrictions: the recombination law or the
-    split rates a model induces on the subset.
+def induced_law(model, sites: Iterable[int]) -> dict[Partition, float]:
+    """The model's own law (recombination probabilities or split rates)
+    restricted to a site subset, summed over partitions with equal
+    restrictions: the law the model induces on the subset.
 
-    `model` supplies the site set and its `_cache` dict, which holds the
-    result under the sorted subset; callers get a copy.
+    The model's `_cache` holds the result under the sorted subset; callers
+    get a copy.
     """
     key = tuple(sorted(set(sites)))
     if not key:
@@ -154,20 +147,20 @@ def induced_law(
         raise ValueError(f"sites {key} not within the model's {model.num_sites} sites")
     if key not in model._cache:
         law: dict[Partition, float] = {}
-        for part, w in weights.items():
+        for part, w in model._law.items():
             sub = part.restrict(key)
             law[sub] = law.get(sub, 0.0) + w
         model._cache[key] = law
     return dict(model._cache[key])
 
 
-def pull(model, weights: Mapping[Partition, float], support: tuple[int, ...]):
-    """The pull on `support` under the law `weights` induce there, as a map
+def pull(model, support: tuple[int, ...]):
+    """The pull on `support` under the law the model induces there, as a map
     of raw (locations, dim) stacks: one `BlockPlan`, compiled on first use
     and cached. A law that splits nothing pulls 0."""
     key = ("pull", support)
     if key not in model._cache:
-        law = induced_law(model, weights, support)
+        law = induced_law(model, support)
         split = [part for part in law if len(part) > 1]  # keeping it whole changes nothing
         if not split:
             model._cache[key] = lambda x: 0.0
@@ -226,7 +219,7 @@ def recombine(mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
 
 def _recombined(x: np.ndarray, mu: Metapopulation, model: RecombinationModel) -> Metapopulation:
     """The checked state x + pull(x) of a raw stack on `mu`'s support."""
-    acc = x + pull(model, model.recomb, mu.support)(x)
+    acc = x + pull(model, mu.support)(x)
     # the map conserves mass; strip float residue so long trajectories do
     # not accumulate drift
     acc /= acc.sum(axis=1, keepdims=True)

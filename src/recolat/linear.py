@@ -6,7 +6,7 @@ T. Iterating is then a matrix power, and the location-alpha distribution at
 time t sits in the component of the single-block state labelled alpha. The
 recombinator vector of the initial state is the labelled readout of
 `measures`, re-exported here as `build_recombinator_vector`, and
-`start_rows` reads it for both `T^t` and `expm(tQ)`.
+`start_rows` reads it for `T^t`, `expm(tQ)` and the two-site block chains.
 
 Each block of a state independently draws a sub-partition from the induced
 recombination law, and each new block draws its location from the migration
@@ -31,7 +31,7 @@ import numpy as np
 
 from .forward import RecombinationModel, check_horizon, check_initial
 from .measures import Metapopulation, build_recombinator_vector
-from .partitions import LabelledPartition, Partition, whole_labelled
+from .partitions import LabelledPartition, Partition, _fill, _Frozen, whole_labelled
 
 __all__ = [
     "LinearSystem",
@@ -97,7 +97,7 @@ def closure(
     return states, matrix
 
 
-class LinearSystem:
+class LinearSystem(_Frozen):
     """Matrix over the labelled partitions reachable from the start states:
     the transition matrix T of `build_linear_system`, or the jump generator
     Q of `ctime.build_generator`."""
@@ -105,13 +105,8 @@ class LinearSystem:
     __slots__ = ("starts", "states", "pos", "matrix")
 
     def __init__(self, starts, states, matrix):
-        object.__setattr__(self, "starts", tuple(starts))
-        object.__setattr__(self, "states", list(states))
-        object.__setattr__(self, "pos", {s: i for i, s in enumerate(states)})
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearSystem is immutable")
+        pos = {s: i for i, s in enumerate(states)}
+        _fill(self, starts=tuple(starts), states=list(states), pos=pos, matrix=matrix)
 
 
 def build_linear_system(
@@ -195,8 +190,8 @@ def start_rows(
 ) -> Metapopulation:
     """Rows of the propagated law `law` (T^t or expm(tQ) over the states of
     `system`) at the single-block starts, applied to the recombinator vector
-    of `mu0`: the metapopulation at time t."""
-    check_initial(mu0, model, full=True)
+    of `mu0`: the metapopulation at time t. It only reads out: callers
+    check `mu0` against `model` before they build anything."""
     rows = [system.pos.get(s) for s in default_starts(model)]
     if None in rows:
         raise ValueError(f"the system lacks the single-block start of location {rows.index(None)}")
@@ -213,6 +208,7 @@ def solve_linear(
     """Metapopulation after t generations, computed through the linear
     embedding instead of forward iteration."""
     check_horizon(t, generations=True)
+    check_initial(mu0, model, full=True)
     if system is None:
         system = build_linear_system(model)
     return start_rows(matrix_power(system.matrix, t), mu0, model, system)

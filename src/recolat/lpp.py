@@ -9,8 +9,10 @@ trace, and each fragment then draws its new location from the migration row
 of the old label; the split happens before the relabelling. Averaging the
 recombinator of the final state applied to the initial metapopulation over
 replicates estimates the forward solution started from a single-block state.
-The recombinators of the final states, and the start vector of the two-site
-block chain, come from the labelled readout `build_recombinator_vector`.
+The recombinators of the final states come from the labelled readout
+`build_recombinator_vector`. The two-site block chain is a hand-built
+`LinearSystem` over L whole and L**2 split states, read out at its whole
+states by `linear.start_rows` like every exact route.
 
 One seed contract covers `simulate`, `state_histograms` and
 `duality_estimate`: one walk steps CHUNK = 1024 replicates together as
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import RecombinationModel, check_horizon, check_initial
-from .linear import checked_starts, matrix_power
+from .linear import LinearSystem, checked_starts, matrix_power, start_rows
 from .measures import Distribution, Metapopulation, build_recombinator_vector
 from .partitions import LabelledPartition, Partition, _by_block_min, whole_labelled
 
@@ -273,39 +275,35 @@ def duality_estimate(
     return DualityEstimate(est, stderr, replicates, counts)
 
 
-def _two_site_chain(mu0: Metapopulation) -> tuple[np.ndarray, np.ndarray]:
-    """Two-site block chain over the L whole states @j, then the L**2 split
-    states {0}@j|{1}@k in (j, k) order: its start vector (the recombinators
-    of mu0 along those states) and the (L, L**2) selection S of the split
-    {0}@a|{1}@a of each @a."""
-    nloc = mu0.num_locations
-    states = [whole_labelled((0, 1), j) for j in range(nloc)] + [
+def _two_site_states(model) -> list[LabelledPartition]:
+    """States of the two-site block chain of either time mode: the L whole
+    states @j, then the L**2 split states {0}@j|{1}@k in (j, k) order."""
+    if model.num_sites != 2:
+        raise ValueError("closed form requires exactly two sites")
+    nloc = model.num_locations
+    return [whole_labelled((0, 1), j) for j in range(nloc)] + [
         LabelledPartition([((0,), j), ((1,), k)]) for j in range(nloc) for k in range(nloc)
     ]
-    return build_recombinator_vector(mu0, states), np.eye(nloc * nloc)[:: nloc + 1]
 
 
 def two_site_closed_form(
     mu0: Metapopulation, model: RecombinationModel, t: int
 ) -> Metapopulation:
-    """Exact two-site solution: the t-th power of the block chain's matrix
-    [[r_whole M, r_split S (M kron M)], [0, M kron M]] applied to the start
-    vector of `_two_site_chain`; its whole-state rows are the answer. A
-    whole state stays whole with probability r_whole, and the two blocks
-    of a split migrate independently.
+    """Exact two-site solution: `start_rows` of the t-th power of the block
+    chain's matrix [[r_whole M, r_split S (M kron M)], [0, M kron M]] over
+    the states of `_two_site_states`. A whole state @a stays whole with
+    probability r_whole; a split starts from {0}@a|{1}@a, the row of
+    M kron M that S selects, and its two blocks migrate independently.
 
     Only defined for models with exactly two sites.
     """
-    if model.num_sites != 2:
-        raise ValueError("closed form requires exactly two sites")
     check_horizon(t, generations=True)
     check_initial(mu0, model, full=True)
+    states = _two_site_states(model)
     r_whole = model.recomb.get(Partition([(0, 1)]), 0.0)
     r_split = model.recomb.get(Partition([(0,), (1,)]), 0.0)
     mig = model.migration
     nloc = model.num_locations
-    start, select = _two_site_chain(mu0)
     pair = np.kron(mig, mig)
-    chain = np.block([[r_whole * mig, r_split * select @ pair], [np.zeros((nloc**2, nloc)), pair]])
-    acc = (matrix_power(chain, t) @ start)[:nloc]
-    return Metapopulation.from_stack(mu0.space, mu0.support, acc, atol=1e-9)
+    chain = np.block([[r_whole * mig, r_split * pair[:: nloc + 1]], [np.zeros((nloc**2, nloc)), pair]])
+    return start_rows(matrix_power(chain, t), mu0, model, LinearSystem(states[:nloc], states, chain))

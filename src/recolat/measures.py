@@ -35,10 +35,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .partitions import LabelledPartition
+from .partitions import LabelledPartition, _fill, _Frozen
 
 
-class TypeSpace:
+class TypeSpace(_Frozen):
     """Per-site alphabet sizes of the sequence space."""
 
     __slots__ = ("alphabet_sizes",)
@@ -49,10 +49,7 @@ class TypeSpace:
             raise ValueError("empty site set")
         if any(s < 1 for s in sizes):
             raise ValueError("alphabet sizes must be at least 1")
-        object.__setattr__(self, "alphabet_sizes", sizes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TypeSpace is immutable")
+        _fill(self, alphabet_sizes=sizes)
 
     @property
     def num_sites(self) -> int:
@@ -113,13 +110,7 @@ def _checked_weights(space: TypeSpace, support: Iterable[int], w: np.ndarray, at
     return sup
 
 
-def _fill(obj, **fields) -> None:
-    """Set the fields of an immutable measure."""
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-
-
-class Distribution:
+class Distribution(_Frozen):
     """A probability vector over the product alphabet of a site subset."""
 
     __slots__ = ("space", "support", "weights")
@@ -135,9 +126,6 @@ class Distribution:
         w = np.array(weights, dtype=float).reshape(-1)
         sup = _checked_weights(space, support, w, atol)
         _fill(self, space=space, support=sup, weights=w)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Distribution is immutable")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -181,7 +169,7 @@ def tensor(factors: Sequence[Distribution]) -> Distribution:
     return Distribution(space, tuple(sorted(concat)), big.reshape(-1), atol=1e-8)
 
 
-class Metapopulation:
+class Metapopulation(_Frozen):
     """One distribution per location, all on the same support, held as one
     read-only (locations, dim) matrix.
 
@@ -205,9 +193,6 @@ class Metapopulation:
         m = np.stack([d.weights for d in ds])
         m.flags.writeable = False
         _fill(self, space=space, support=sup, matrix=m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Metapopulation is immutable")
 
     @property
     def num_locations(self) -> int:

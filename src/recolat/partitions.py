@@ -39,16 +39,29 @@ def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...],
     return tuple(out)
 
 
-class Partition:
+class _Frozen:
+    """Base of the library's immutable values: each sets its slots once,
+    when it is made, and refuses every later assignment."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _fill(obj, **fields) -> None:
+    """Set the fields of an immutable value."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+
+
+class Partition(_Frozen):
     """A partition of a finite site set into disjoint non-empty blocks."""
 
     __slots__ = ("blocks",)
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
         object.__setattr__(self, "blocks", _canonical_blocks(blocks))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     @property
     def base_set(self) -> tuple[int, ...]:
@@ -89,7 +102,7 @@ class Partition:
         return tuple(idx[s] for s in sorted(idx))
 
 
-class LabelledPartition:
+class LabelledPartition(_Frozen):
     """A partition whose blocks each carry a location label (an int)."""
 
     __slots__ = ("items",)
@@ -103,9 +116,6 @@ class LabelledPartition:
         _canonical_blocks(b for b, _ in pairs)  # validates disjointness
         pairs.sort(key=lambda it: it[0][0])
         object.__setattr__(self, "items", tuple(pairs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LabelledPartition is immutable")
 
     @classmethod
     def _from_canonical(cls, items: tuple[tuple[tuple[int, ...], int], ...]) -> "LabelledPartition":

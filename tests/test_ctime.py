@@ -14,6 +14,7 @@ from recolat.ctime import (
     integrate,
 )
 from recolat.forward import recombine
+from recolat.linear import start_rows
 from recolat.measures import Distribution, Metapopulation, TypeSpace, tensor
 from recolat.partitions import (
     LabelledPartition,
@@ -452,6 +453,27 @@ class TestTwoSite:
         om = factories.random_metapop(RNG, model.space, 2)
         with pytest.raises(ValueError, match="two sites"):
             ct_two_site(om, model, 1.0)
+
+    @pytest.mark.parametrize("locations", [1, 2, 3])
+    def test_chain_is_the_general_generator(self, locations, monkeypatch):
+        # the hand-built generator is an independent route, so it is
+        # compared with the closure's Q entry by entry, not only through
+        # its outputs
+        import recolat.ctime
+
+        seen = []
+
+        def capture(law, omega0, model, system):
+            seen.append(system)
+            return start_rows(law, omega0, model, system)
+
+        monkeypatch.setattr(recolat.ctime, "start_rows", capture)
+        rng = np.random.default_rng(3400 + locations)
+        model = factories.random_ct_model(rng, 2, locations)
+        ct_two_site(factories.random_metapop(rng, model.space, locations), model, 0.7)
+        general = build_generator(model)
+        assert seen[0].states == general.states
+        np.testing.assert_allclose(seen[0].matrix, general.matrix, rtol=0, atol=1e-15)
 
     def test_no_split_rate_is_pure_migration(self):
         from scipy.linalg import expm

@@ -3,18 +3,21 @@ import itertools
 import numpy as np
 import pytest
 
+from recolat.ctime import ct_rhs
 from recolat.forward import (
     RecombinationModel,
     backward_from_forward,
     checked_migration,
+    induced_law,
     iterate,
     marginal_step,
     migrate,
+    pull,
     recombine,
     step,
 )
 from recolat.measures import Metapopulation, TypeSpace
-from recolat.partitions import Partition
+from recolat.partitions import Partition, finest
 
 import factories
 
@@ -149,6 +152,35 @@ class TestMarginalRecombination:
         assert model.marginal_recombination((1,)) == pytest.approx(
             {Partition([[1]]): 1.0}
         )
+
+
+@pytest.mark.parametrize("kind", ["discrete", "continuous"])
+def test_induced_laws_are_the_models_own(kind):
+    # the cache is keyed by site subset alone, so a law passed beside the
+    # model could be answered with another; the model is its law's one source
+    rng = np.random.default_rng(715)
+    if kind == "discrete":
+        model = factories.random_model(rng, 4, 2)
+        own, state = model.recomb, factories.random_metapop(rng, model.space, 2)
+        iterate(state, model, 2)
+    else:
+        model = factories.random_ct_model(rng, 4, 2)
+        own, state = model.rates, factories.random_metapop(rng, model.space, 2)
+        ct_rhs(state, model)
+    other = {finest(range(4)): 1.0}
+    with pytest.raises(TypeError):
+        induced_law(model, other, model.sites)
+    with pytest.raises(TypeError):
+        pull(model, other, model.sites)
+    subsets = [u for r in range(1, 5) for u in itertools.combinations(range(4), r)]
+    for u in subsets:
+        induced_law(model, u)
+    for u in subsets:
+        fresh: dict = {}
+        for part, w in own.items():
+            sub = part.restrict(u)
+            fresh[sub] = fresh.get(sub, 0.0) + w
+        assert induced_law(model, u) == fresh
 
 
 class TestMigrate:

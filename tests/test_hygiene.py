@@ -1,6 +1,6 @@
 """Source hygiene: every module-level import of the package is used, every
-private module-level name is read somewhere in the package, and no module
-holds mutable state at module level."""
+private module-level name is read somewhere in the package, no module
+holds mutable state at module level, and immutability has one home."""
 
 import ast
 from pathlib import Path
@@ -124,3 +124,35 @@ def test_detects_module_level_containers():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_level_containers(path):
     assert module_level_containers(ast.parse(path.read_text(), str(path))) == []
+
+
+def setattr_definitions(tree: ast.Module) -> list[str]:
+    """Classes, at any depth, that define `__setattr__`. Immutable values
+    derive from `partitions._Frozen`, the one class that refuses
+    assignment."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "__setattr__" for f in node.body)
+    ]
+
+
+def test_detects_setattr_definitions():
+    tree = ast.parse(
+        "class A:\n    def __setattr__(self, name, value): pass\n"
+        "class B(A):\n    __slots__ = ()\n    def __setattr__ (self, *a): pass\n"
+        "class C:\n    def setattr(self): pass\n"
+        "def f():\n    class D:\n        def __setattr__(self, name, value): pass\n"
+        "def __setattr__(obj, name, value): pass\n"
+    )
+    assert setattr_definitions(tree) == ["A", "B", "D"]
+
+
+def test_only_frozen_defines_setattr():
+    found = [
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in setattr_definitions(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == ["partitions._Frozen"]

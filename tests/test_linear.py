@@ -275,6 +275,22 @@ class TestSolveLinear:
         solve_linear(factories.random_metapop(rng, model.space, 2), model, 6)
         assert sorted(calls) == ["build_recombinator_vector", "matrix_power"]
 
+    def test_refuses_a_bad_state_before_building(self, monkeypatch):
+        # a state that does not fit the model is refused before T is built
+        # or powered, not by the readout after both
+        import recolat.linear
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built or powered before the state was checked")
+
+        monkeypatch.setattr(recolat.linear, "build_linear_system", unreachable)
+        monkeypatch.setattr(recolat.linear, "matrix_power", unreachable)
+        rng = np.random.default_rng(6)
+        model = factories.two_site_model(rng, 2)
+        mu = factories.random_metapop(rng, model.space, 3)
+        with pytest.raises(ValueError, match="wrong number of locations"):
+            solve_linear(mu, model, 6)
+
 
 class TestMatrixPower:
     def test_powering_paths_agree(self):

@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from recolat.forward import RecombinationModel, iterate
-from recolat.linear import build_linear_system, solve_linear
+from recolat.linear import build_linear_system, solve_linear, start_rows
 from recolat.lpp import (
     CHUNK,
     DualityEstimate,
@@ -371,6 +371,26 @@ class TestTwoSiteClosedForm:
         mu0 = factories.random_metapop(RNG, model.space, 2)
         with pytest.raises(ValueError, match="two sites"):
             two_site_closed_form(mu0, model, 3)
+
+    @pytest.mark.parametrize("locations", [1, 2, 3])
+    def test_chain_is_the_general_assembly(self, locations, monkeypatch):
+        # the hand-built chain is an independent route, so it is compared
+        # with the closure's T entry by entry, not only through its outputs
+        import recolat.lpp
+
+        seen = []
+
+        def capture(law, mu0, model, system):
+            seen.append(system)
+            return start_rows(law, mu0, model, system)
+
+        monkeypatch.setattr(recolat.lpp, "start_rows", capture)
+        rng = np.random.default_rng(3300 + locations)
+        model = factories.two_site_model(rng, locations)
+        two_site_closed_form(factories.random_metapop(rng, model.space, locations), model, 3)
+        general = build_linear_system(model)
+        assert seen[0].states == general.states
+        np.testing.assert_allclose(seen[0].matrix, general.matrix, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("locations", [1, 2, 3, 4])
     def test_matches_linear_system(self, locations):

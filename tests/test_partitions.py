@@ -289,3 +289,31 @@ def test_rgs_round_trip(p):
     for site, d in zip(sorted(p.base_set), seqs):
         rebuilt.setdefault(d, []).append(site)
     assert Partition(rebuilt.values()) == p
+
+
+def _immutable_values():
+    from recolat.ctime import CtModel
+    from recolat.forward import RecombinationModel
+    from recolat.linear import build_linear_system
+    from recolat.measures import Distribution, Metapopulation, TypeSpace
+
+    one = TypeSpace((2,))
+    model = RecombinationModel(one, {Partition([[0]]): 1.0}, [[1.0]])
+    return [
+        Partition([[0], [1]]),
+        LabelledPartition([((0, 1), 0)]),
+        one,
+        Distribution(one, (0,), [0.5, 0.5]),
+        Metapopulation.from_stack(one, (0,), [[0.5, 0.5]]),
+        model,
+        CtModel(one, {}, [[0.0]]),
+        build_linear_system(model),
+    ]
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_values_refuse_assignment(index):
+    # every value class takes its refusal, and its text, from one base
+    value = _immutable_values()[index]
+    with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+        value.anything = None
