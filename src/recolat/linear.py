@@ -5,8 +5,9 @@ metapopulation turns the nonlinear generation step into one stochastic matrix
 T. Iterating is then a matrix power, and the location-alpha distribution at
 time t sits in the component of the single-block state labelled alpha. The
 recombinator vector of the initial state is the labelled readout of
-`measures`, re-exported here as `build_recombinator_vector`, and
-`start_rows` reads it for `T^t`, `expm(tQ)` and the two-site block chains.
+`measures`, re-exported here as `build_recombinator_vector`. `start_rows`
+picks the start rows of `T^t`, of exp(tQ) or of a two-site block chain and
+only then multiplies them into it.
 
 Each block of a state independently draws a sub-partition from the induced
 recombination law, and each new block draws its location from the migration
@@ -14,12 +15,18 @@ row of its parent's label. So T is the label-free block matrix B fanned out
 through the migration matrix M:
 T[(delta, a), (delta', b)] = B[delta, delta'] * prod_j M[a_src(j), b_j],
 where src(j) is the block of delta holding the first site of new block j.
+The jump generator Q of `ctime.build_generator` is built the same way: the
+label-free split-rate matrix B_Q fanned out through the identity (fragments
+keep their parent's label), plus on each base's label block the Kronecker
+sum of the migration generator G over its blocks (one block relabels at a
+time), with minus the row sums on the diagonal.
 
-One routine, `closure`, builds B and the jump generator Q of
-`ctime.build_generator`. States are sorted by the canonical enumeration order
-(base partition by restricted growth string, then label vector). A move never
-coarsens the base partition, and a refinement never comes earlier in that
-order, so each matrix is block upper triangular, one block per base partition.
+One routine, `closure`, builds B and B_Q, and one, `fan_out`, lifts either
+to the labelled states reachable from the starts. States are sorted by the
+canonical enumeration order (base partition by restricted growth string,
+then label vector). A move never coarsens the base partition, and a
+refinement never comes earlier in that order, so each matrix is block upper
+triangular, one block per base partition.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ __all__ = [
     "build_linear_system",
     "build_recombinator_vector",
     "closure",
+    "fan_out",
     "matrix_power",
     "build_base_matrix",
     "solve_linear",
@@ -72,7 +80,8 @@ def closure(
     key: Callable,
 ) -> tuple[list, np.ndarray]:
     """States reachable from `starts`, sorted by `key`, and their dense
-    matrix with row = source: the block matrix B or the jump generator Q.
+    matrix with row = source: the label-free block matrix B or split-rate
+    matrix B_Q, over base partitions.
 
     `successors(state)` yields (target, weight) pairs. It runs once per
     reachable state; weights of a repeated target add up.
@@ -114,15 +123,23 @@ def build_linear_system(
     starts: Sequence[LabelledPartition] | None = None,
 ) -> LinearSystem:
     """Transition matrix T over the labelled partitions reachable from
-    `starts` (default: one single-block state per location): each nonzero
-    B[delta, delta'] fills the block of delta's label vectors against
-    delta''s, in product order, and states that no positive entry reaches
-    (M may have zeros) are left out."""
+    `starts` (default: one single-block state per location): the block
+    matrix B fanned out through the migration matrix M."""
     starts = checked_starts(model, starts)
     bases, base = closure(
         (s.base for s in starts), lambda d: base_transition_row(model, d).items(), Partition.rgs
     )
-    num_loc = model.num_locations
+    return LinearSystem(starts, *fan_out(starts, bases, base, model.migration))
+
+
+def fan_out(starts, bases, base, lift, within=None) -> tuple[list, np.ndarray]:
+    """Labelled states reachable from `starts` and their dense matrix, from
+    the label-free matrix `base` over `bases`: each nonzero base[i, j] fills
+    the block of i's label vectors against j's, in product order, times one
+    factor lift[a_src(k), b_k] per new block k. `within[k]`, if given, is
+    added to the diagonal block of every base of k blocks. States that no
+    positive entry reaches (`lift` or `within` may have zeros) are left out."""
+    num_loc = len(lift)
     owners = [d.rgs() for d in bases]
     at = np.cumsum([0] + [num_loc ** len(d) for d in bases]).tolist()
     matrix = np.zeros((at[-1], at[-1]))
@@ -131,8 +148,11 @@ def build_linear_system(
         for axis, block in enumerate(bases[j].blocks, len(bases[i])):
             shape = [1] * (len(bases[i]) + len(bases[j]))
             shape[owners[i][block[0]]] = shape[axis] = num_loc
-            fan = fan * model.migration.reshape(shape)
+            fan = fan * lift.reshape(shape)
         matrix[at[i] : at[i + 1], at[j] : at[j + 1]] = fan.reshape(at[i + 1] - at[i], -1)
+    if within is not None:
+        for i, d in enumerate(bases):
+            matrix[at[i] : at[i + 1], at[i] : at[i + 1]] += within[len(d)]
 
     states = [
         LabelledPartition._from_canonical(tuple(zip(d.blocks, labels)))
@@ -144,9 +164,9 @@ def build_linear_system(
     while (grown := reach | (reach @ matrix > 0)).sum() > reach.sum():
         reach = grown
     if reach.all():
-        return LinearSystem(starts, states, matrix)
+        return states, matrix
     keep = np.flatnonzero(reach)
-    return LinearSystem(starts, [states[k] for k in keep], matrix[np.ix_(keep, keep)])
+    return [states[k] for k in keep], matrix[np.ix_(keep, keep)]
 
 
 def base_transition_row(model: RecombinationModel, delta: Partition) -> dict[Partition, float]:
@@ -188,14 +208,15 @@ def matrix_power(matrix: np.ndarray, t: int) -> np.ndarray:
 def start_rows(
     law: np.ndarray, mu0: Metapopulation, model, system: LinearSystem
 ) -> Metapopulation:
-    """Rows of the propagated law `law` (T^t or expm(tQ) over the states of
+    """Rows of the propagated law `law` (T^t or exp(tQ) over the states of
     `system`) at the single-block starts, applied to the recombinator vector
-    of `mu0`: the metapopulation at time t. It only reads out: callers
-    check `mu0` against `model` before they build anything."""
+    of `mu0`: the metapopulation at time t. `law[rows]` is all it reads of
+    the law, so a law may compute only the rows asked for. It only reads
+    out: callers check `mu0` against `model` before they build anything."""
     rows = [system.pos.get(s) for s in default_starts(model)]
     if None in rows:
         raise ValueError(f"the system lacks the single-block start of location {rows.index(None)}")
-    evolved = (law @ build_recombinator_vector(mu0, system.states))[rows]
+    evolved = law[rows] @ build_recombinator_vector(mu0, system.states)
     return Metapopulation.from_stack(mu0.space, mu0.support, evolved, atol=1e-9)
 
 

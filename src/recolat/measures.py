@@ -236,9 +236,22 @@ class Metapopulation(_Frozen):
         m = np.array(matrix, dtype=float)
         if m.ndim != 2 or not len(m):
             raise ValueError("need a (locations, dim) matrix with at least one location")
-        sup = _checked_weights(space, support, m, atol)
+        return cls._held(space, _checked_weights(space, support, m, atol), m)
+
+    @classmethod
+    def from_stacks(
+        cls, space: TypeSpace, support: Sequence[int], stacks: np.ndarray, *, atol: float = 1e-12
+    ) -> list["Metapopulation"]:
+        """One state per leading index of a (states, locations, dim) array,
+        after one check of all its rows: read-only views of `stacks`, which
+        becomes read-only itself."""
+        sup = _checked_weights(space, support, stacks, atol)
+        return [cls._held(space, sup, m) for m in stacks]
+
+    @classmethod
+    def _held(cls, space: TypeSpace, support: tuple[int, ...], matrix: np.ndarray) -> "Metapopulation":
         mu = object.__new__(cls)
-        _fill(mu, space=space, support=sup, matrix=m)
+        _fill(mu, space=space, support=support, matrix=matrix)
         return mu
 
     def __repr__(self) -> str:
@@ -271,8 +284,9 @@ class BlockPlan:
     last site first (`_site_pass`), that keeps or sums each site for every
     block marginal, one site at a time. Each marginal is then an affine
     function of its letters. Per location, the table holds the compact
-    marginals, then the same divided by the mass, then a one for the empty
-    slots of states with fewer blocks. Each block slot (a state's first
+    marginals, then the same divided by the mass (if some state has a
+    second block), then a one for the empty slots of states with fewer
+    blocks (if there are any). Each block slot (a state's first
     block, its second, ...) gathers its factors from the table with one
     index, in the smallest unsigned dtype: the first slot from the raw
     marginals, later slots from the divided ones. The factors multiply in
@@ -283,7 +297,7 @@ class BlockPlan:
     alphabet sizes.
     """
 
-    __slots__ = ("masks", "codes", "sizes", "passes", "gathers")
+    __slots__ = ("masks", "codes", "scaled", "padded", "sizes", "passes", "gathers")
 
     def __init__(self, support: Sequence[int], states: Sequence[Sequence[tuple]]):
         width = max(map(len, states), default=0) or 1
@@ -295,11 +309,14 @@ class BlockPlan:
                 codes[k][i] = rows.setdefault(block, len(rows))
         bit = {s: 1 << i for i, s in enumerate(support)}
         self.masks = [sum(bit[s] for s in block) for block in rows]  # per block, its site mask
+        # the table's divided half and ones column, only where a slot reads them
+        self.scaled = width > 1
+        self.padded = any(-1 in slot for slot in codes)
         self.sizes = None
 
     def _compile(self, sizes: tuple[int, ...]) -> None:
         self.passes, total, layout = _site_pass(self.masks, sizes)
-        columns = 2 * total + 1
+        columns = (1 + self.scaled) * total + self.padded
         dt = np.min_scalar_type(columns)  # holds every index
         # key of output entry x for a block: its column at x's letters, read
         # off a view of the column numbers with the block's strides
@@ -315,12 +332,13 @@ class BlockPlan:
             step = dict(zip([j for j in covered if b >> j & 1], st))
             strides = tuple(step.get(j, 0) * numbers.itemsize for j in covered)
             key.reshape(shape)[...] = np.ndarray(shape, dt, numbers, base * numbers.itemsize, strides)
-        keys[-1] = 2 * total
+        keys[-1] = columns - 1  # the ones column, read only if some slot is empty
         codes = np.array(self.codes, dtype=np.intp)
         gathers = np.empty(codes.shape + keys.shape[1:], dt)
         keys.take(codes[0], axis=0, out=gathers[0])
-        keys[:-1] += total  # later slots read the mass-normalised marginals
-        keys.take(codes[1:], axis=0, out=gathers[1:])
+        if self.scaled:
+            keys[:-1] += total  # later slots read the mass-normalised marginals
+            keys.take(codes[1:], axis=0, out=gathers[1:])
         self.gathers = list(gathers)
         self.sizes = sizes
 
@@ -340,8 +358,13 @@ class BlockPlan:
                 summed = np.add.reduce(marg, -2).take(drop, axis=-1)
             marg = None  # a pruned step frees the previous site's array here
             marg = summed if kept is None else kept if summed is None else np.concatenate((kept, summed), axis=-1)
-        mass = np.add.reduce(stack, tuple(range(1, stack.ndim)), keepdims=True)
-        table = np.concatenate((marg, marg / mass.reshape(len(marg), 1), np.ones((len(marg), 1))), axis=1)
+        parts = [marg]
+        if self.scaled:
+            mass = np.add.reduce(stack, tuple(range(1, stack.ndim)), keepdims=True)
+            parts.append(marg / mass.reshape(len(marg), 1))
+        if self.padded:
+            parts.append(np.ones((len(marg), 1)))
+        table = np.concatenate(parts, axis=1) if len(parts) > 1 else marg
         first, *rest = self.gathers
         prod = table.take(first, axis=1)
         for idx in rest:

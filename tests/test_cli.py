@@ -574,6 +574,24 @@ class TestExitCodes:
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
+    def test_small_ct_solve_loads_no_sparse_scipy(self, tmp_path):
+        # below the size threshold the dual route forms the dense exponential,
+        # and only the row-propagating branch loads scipy.sparse
+        path = write_config(tmp_path, CT)
+        src = os.path.dirname(os.path.dirname(recolat.__file__))
+        script = (
+            "import contextlib, io, sys\n"
+            "from recolat.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['ct-solve', '--config', sys.argv[1]])\n"
+            "print(code, 'scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, path], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0 True False\n", "")
+
     def test_calls_in_one_process_match_calls_alone(self, tmp_path, monkeypatch):
         # one process may serve many commands; none may leak into the next
         monkeypatch.setenv("COLUMNS", "80")

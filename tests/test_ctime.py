@@ -5,6 +5,7 @@ import pytest
 
 import factories
 from recolat.ctime import (
+    DENSE_STATES,
     CtModel,
     build_generator,
     ct_rhs,
@@ -14,7 +15,7 @@ from recolat.ctime import (
     integrate,
 )
 from recolat.forward import recombine
-from recolat.linear import start_rows
+from recolat.linear import build_recombinator_vector, start_rows
 from recolat.measures import Distribution, Metapopulation, TypeSpace, tensor
 from recolat.partitions import (
     LabelledPartition,
@@ -285,6 +286,28 @@ class TestIntegrate:
         assert len(traj.times) == 7
         assert len(calls) == 4 * 6
 
+    def test_one_checked_path_per_integrate(self, monkeypatch):
+        # the whole path is checked once, and the states are read-only views
+        # of it, not one checked copy per step
+        import recolat.measures
+
+        rng = np.random.default_rng(2101)
+        model = factories.random_ct_model(rng, 3, 2)
+        om = factories.random_metapop(rng, model.space, 2)
+        checked = recolat.measures._checked_weights
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return checked(*args, **kwargs)
+
+        monkeypatch.setattr(recolat.measures, "_checked_weights", counted)
+        traj = integrate(om, model, 0.55, 0.1)
+        assert len(calls) == 1
+        assert len(traj.states) == 7 and traj.states[0] is om
+        assert all(not mu.stack().flags.writeable for mu in traj.states)
+        assert traj.states[1].stack().base is traj.final.stack().base
+
     def test_conservation_drift_small(self):
         model = factories.random_ct_model(RNG, 3, 2)
         om = factories.random_metapop(RNG, model.space, 2)
@@ -406,6 +429,150 @@ class TestGenerator:
             build_generator(model, [whole_labelled((0, 1), 0)])
         with pytest.raises(ValueError, match="labels"):
             build_generator(model, [whole_labelled((0, 1, 2), 5)])
+
+
+def _brute_generator(model, starts):
+    """States reachable from `starts` through `_brute_jump_rates`, sorted by
+    restricted growth string and then labels, and their generator: the jump
+    rates off the diagonal, minus the row sums on it."""
+    rows, frontier = {}, list(starts)
+    while frontier:
+        state = frontier.pop()
+        if state not in rows:
+            rows[state] = _brute_jump_rates(state, model)
+            frontier.extend(rows[state])
+
+    def order(state):
+        owner = {s: i for i, (b, _) in enumerate(state.items) for s in b}
+        return tuple(owner[s] for s in sorted(owner)), tuple(l for _, l in state.items)
+
+    states = sorted(rows, key=order)
+    pos = {s: i for i, s in enumerate(states)}
+    q = np.zeros((len(states), len(states)))
+    for state, row in rows.items():
+        for target, rate in row.items():
+            q[pos[state], pos[target]] = rate
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return states, q
+
+
+class TestAgainstBruteGenerator:
+    """Q against a closure of the brute-force jump rates: the same states in
+    the same order, and the same entries."""
+
+    ORACLE_RNG = np.random.default_rng(98)
+    # labels only move down, 2 -> 1 -> 0
+    DOWNWARD = np.array([[0.0, 0.0, 0.0], [0.5, -0.5, 0.0], [0.0, 0.2, -0.2]])
+
+    @staticmethod
+    def check(model, starts=None):
+        lg = build_generator(model, starts)
+        states, q = _brute_generator(model, lg.starts)
+        assert lg.states == states
+        np.testing.assert_allclose(lg.matrix, q, rtol=0, atol=1e-15)
+        return lg
+
+    @pytest.mark.parametrize("n,loc", [(n, loc) for n in (1, 2, 3, 4) for loc in (1, 2, 3)])
+    def test_default_last_location_and_two_block_starts(self, n, loc):
+        model = factories.random_ct_model(self.ORACLE_RNG, n, loc)
+        sites = model.sites
+        self.check(model)
+        self.check(model, [whole_labelled(sites, loc - 1)])
+        if n > 1:
+            self.check(model, [LabelledPartition([(sites[:1], loc - 1), (sites[1:], 0)])])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_generator_with_zeros_reaches_a_strict_subset(self, n):
+        base = factories.random_ct_model(self.ORACLE_RNG, n, 3)
+        model = CtModel(base.space, base.rates, self.DOWNWARD)
+        sites = model.sites
+        for label in (0, 1):
+            lg = self.check(model, [whole_labelled(sites, label)])
+            assert all(max(s.labels) <= label for s in lg.states)
+            assert len({s.base for s in lg.states}) > 1
+        self.check(model, [whole_labelled(sites, 2)])
+        self.check(model)
+        lg = self.check(model, [LabelledPartition([(sites[:1], 1), (sites[1:], 0)])])
+        assert all(2 not in s.labels for s in lg.states)
+
+
+def _dense_start_rows(om, model, t, lg):
+    """The solution from the dense exp(tQ): its single-block start rows
+    against the recombinator vector of `om`."""
+    from scipy.linalg import expm
+
+    rows = [lg.pos[whole_labelled(model.sites, a)] for a in range(model.num_locations)]
+    return expm(t * lg.matrix)[rows] @ build_recombinator_vector(om, lg.states)
+
+
+def _count_dense_expm(monkeypatch):
+    import scipy.linalg
+
+    calls = []
+    dense = scipy.linalg.expm
+
+    def counted(a):
+        calls.append(len(a))
+        return dense(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    return calls
+
+
+class TestSolveBranches:
+    """`ct_solve_dual` propagates only the start rows from 256 states on,
+    while ||tQ||_1 is at most the state count, and forms the dense
+    exponential otherwise; both give the dense start rows."""
+
+    @pytest.mark.parametrize("t, dense", [(0.0, False), (0.5, False), (50.0, True)])
+    def test_390_states_both_branches(self, t, dense, monkeypatch):
+        model = factories.random_ct_model(np.random.default_rng(9), 5, 2)
+        om = factories.random_metapop(np.random.default_rng(90), model.space, 2)
+        lg = build_generator(model)
+        assert len(lg.states) == 390 >= DENSE_STATES
+        assert (t * np.abs(lg.matrix).sum(axis=0).max() > 390) == dense
+        want = _dense_start_rows(om, model, t, lg)
+        calls = _count_dense_expm(monkeypatch)
+        got = ct_solve_dual(om, model, t, generator=lg).stack()
+        assert calls == ([390] if dense else [])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, loc, t", [(2, 1, 0.9), (3, 2, 0.4), (3, 3, 0.7), (4, 2, 3.0)])
+    def test_small_generators_stay_dense(self, n, loc, t, monkeypatch):
+        # under 100 states, at horizons the product branch would take from 256 on
+        rng = np.random.default_rng(2102 + n * loc)
+        model = factories.random_ct_model(rng, n, loc)
+        om = factories.random_metapop(rng, model.space, loc)
+        lg = build_generator(model)
+        want = _dense_start_rows(om, model, t, lg)
+        calls = _count_dense_expm(monkeypatch)
+        got = ct_solve_dual(om, model, t, generator=lg).stack()
+        assert len(lg.states) < DENSE_STATES and calls == [len(lg.states)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_wide_exact_shape_forms_no_dense_exponential(self, monkeypatch):
+        # five sites, two locations, a rate on every proper partition: 454
+        # states, where the start rows cost a fraction of the dense expm
+        import scipy.linalg
+
+        rng = np.random.default_rng(2103)
+        parts = [p for p in enumerate_partitions(range(5)) if len(p) > 1]
+        model = CtModel(
+            TypeSpace((2,) * 5),
+            {p: float(rng.uniform(0.0, 0.2)) for p in parts},
+            _conservative(rng.random((2, 2))),
+        )
+        om = factories.random_metapop(rng, model.space, 2)
+        lg = build_generator(model)
+        assert len(lg.states) == 454
+        want = _dense_start_rows(om, model, 0.5, lg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense exponential was formed")
+
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        got = ct_solve_dual(om, model, 0.5).stack()
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestDualSolver:
